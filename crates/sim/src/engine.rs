@@ -146,6 +146,8 @@ pub struct Simulation<P: Process, O: Oracle<Sample = P::Fd>> {
     observed: FailurePattern,
     violations: Vec<Violation>,
     recorder: TraceRecorder<P::Output>,
+    /// Whether steps feed `recorder`; only the explorer's forks turn it off.
+    tracing: bool,
     total_steps: u64,
 }
 
@@ -252,6 +254,7 @@ where
             observed,
             violations: Vec::new(),
             recorder,
+            tracing: true,
             total_steps: 0,
         })
     }
@@ -301,6 +304,16 @@ where
         self.recorder.trace()
     }
 
+    /// Discards the recorded trace and stops recording: [`Simulation::trace`]
+    /// stays empty from here on, and a step builds its event payloads only
+    /// for an observer that [observes events](Observer::observes_events).
+    /// The exhaustive explorer turns this on for the fork it clones every
+    /// DFS child from, since no explorer caller reads a fork's history.
+    pub(crate) fn stop_tracing(&mut self) {
+        self.recorder = TraceRecorder::new(self.n);
+        self.tracing = false;
+    }
+
     /// The crash plan driving failures.
     pub fn crash_plan(&self) -> &CrashPlan {
         &self.crash_plan
@@ -333,7 +346,9 @@ where
     /// is this method with a [`NoObserver`], monomorphized away, and the
     /// engine's own trace is assembled by an internal
     /// [`TraceRecorder`] fed from the *same* event stream, so internal and
-    /// external observers can never disagree about what a step did.
+    /// external observers can never disagree about what a step did. The
+    /// events (and the fingerprints they carry) are built only when the
+    /// internal recorder or `obs` consumes them.
     ///
     /// # Errors
     ///
@@ -355,6 +370,7 @@ where
         }
         self.time = self.time.next();
         self.total_steps += 1;
+        let emit = self.tracing || obs.observes_events();
 
         // 1. Receive: extract the chosen subset of the buffer.
         let delivered: Vec<Envelope<P::Msg>> = {
@@ -379,7 +395,6 @@ where
         // passed as `Some` so that state/observation fingerprints do not
         // depend on how the simulation was constructed.
         let fd_sample: Option<P::Fd> = Some(self.oracle.sample(pid, self.time, &self.observed));
-        let fd_fp = fd_sample.as_ref().map(fingerprint);
 
         // 3. Atomic transition.
         let info = ProcessInfo::new(pid, self.n);
@@ -424,24 +439,25 @@ where
         // A send to an out-of-range destination can never be delivered, so
         // it is recorded as dropped — traces and fingerprints must not claim
         // a delivery that never happened.
-        let mut sent: Vec<SendEvent> = Vec::with_capacity(sends.len());
+        let mut sent: Vec<SendEvent> = Vec::with_capacity(if emit { sends.len() } else { 0 });
         for (dst, payload) in sends {
             let id = MsgId::new(self.next_msg_id);
             self.next_msg_id += 1;
             let dropped =
                 dst.index() >= self.n || omission.as_ref().is_some_and(|om| !om.delivers_to(dst));
-            let payload_fp = fingerprint(&payload);
+            if emit {
+                sent.push(SendEvent {
+                    time: self.time,
+                    src: pid,
+                    dst,
+                    id: Some(id),
+                    payload_fp: Some(fingerprint(&payload)),
+                    dropped,
+                });
+            }
             if !dropped {
                 self.buffers[dst.index()].push(Envelope::new(id, pid, dst, self.time, payload));
             }
-            sent.push(SendEvent {
-                time: self.time,
-                src: pid,
-                dst,
-                id: Some(id),
-                payload_fp: Some(payload_fp),
-                dropped,
-            });
         }
 
         // 7. Report the step's events — to the internal trace recorder and
@@ -452,66 +468,74 @@ where
         macro_rules! emit {
             ($method:ident, $ev:expr) => {{
                 let ev = $ev;
-                self.recorder.$method(&ev);
+                if self.tracing {
+                    self.recorder.$method(&ev);
+                }
                 obs.$method(&ev);
             }};
         }
-        for env in &delivered {
-            emit!(
-                on_deliver,
-                DeliverEvent {
-                    time: self.time,
-                    src: env.src,
-                    dst: pid,
-                    id: Some(env.id),
-                    payload_fp: Some(env.payload_fingerprint()),
-                }
-            );
-        }
-        emit!(
-            on_fd_sample,
-            FdSampleEvent {
-                time: self.time,
-                pid,
-                fd_fp,
+        if emit {
+            for env in &delivered {
+                emit!(
+                    on_deliver,
+                    DeliverEvent {
+                        time: self.time,
+                        src: env.src,
+                        dst: pid,
+                        id: Some(env.id),
+                        payload_fp: Some(env.payload_fingerprint()),
+                    }
+                );
             }
-        );
-        if let Some(value) = decided_now {
             emit!(
-                on_decide,
-                DecideEvent {
+                on_fd_sample,
+                FdSampleEvent {
                     time: self.time,
                     pid,
-                    value,
+                    fd_fp: fd_sample.as_ref().map(fingerprint),
+                }
+            );
+            if let Some(value) = decided_now {
+                emit!(
+                    on_decide,
+                    DecideEvent {
+                        time: self.time,
+                        pid,
+                        value,
+                    }
+                );
+            }
+            for ev in &sent {
+                if self.tracing {
+                    self.recorder.on_send(ev);
+                }
+                obs.on_send(ev);
+            }
+            emit!(
+                on_step,
+                StepEvent {
+                    time: self.time,
+                    pid,
+                    local_step: local_steps,
+                    state_fp: fingerprint(&self.procs[pid.index()]),
+                    delivered: delivered.len(),
+                    sent: sent.len(),
                 }
             );
         }
-        for ev in &sent {
-            self.recorder.on_send(ev);
-            obs.on_send(ev);
-        }
-        emit!(
-            on_step,
-            StepEvent {
-                time: self.time,
-                pid,
-                local_step: local_steps,
-                state_fp: fingerprint(&self.procs[pid.index()]),
-                delivered: delivered.len(),
-                sent: sent.len(),
-            }
-        );
         if omission.is_some() {
             self.statuses[pid.index()] = Status::Crashed { at: self.time };
             self.observed.record_crash(pid, self.time);
-            emit!(
-                on_crash,
-                CrashEvent {
-                    pid,
-                    time: self.time,
-                    after_step: true,
-                }
-            );
+            if emit {
+                emit!(
+                    on_crash,
+                    CrashEvent {
+                        pid,
+                        time: self.time,
+                        after_step: true,
+                    }
+                );
+            }
         }
         Ok(())
     }
@@ -632,22 +656,43 @@ where
     /// fingerprints continue identically under identical future schedules
     /// (up to hash collision), which is what the exhaustive explorer's
     /// state deduplication relies on.
+    ///
+    /// The value is a fixed combination of one component per process, in
+    /// process order; each component covers that process's local state,
+    /// liveness, decision flag and buffer. The exhaustive explorer rehashes
+    /// only the components a step changed and lands on this same value.
     pub fn config_fingerprint(&self) -> u64 {
+        combine_fingerprints(ProcessId::all(self.n).map(|p| self.process_fingerprint(p)))
+    }
+
+    /// The configuration-fingerprint component of `pid`: its local state,
+    /// liveness, decision flag and buffer contents, the buffer as
+    /// `(src, payload)` pairs in FIFO order.
+    pub(crate) fn process_fingerprint(&self, pid: ProcessId) -> u64 {
         use std::hash::{Hash, Hasher};
+        let i = pid.index();
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        for (i, p) in self.procs.iter().enumerate() {
-            i.hash(&mut h);
-            p.hash(&mut h);
-            self.statuses[i].is_alive().hash(&mut h);
-            self.decided_flags[i].hash(&mut h);
-            // Buffer contents: (src, payload) multiset in FIFO order.
-            for env in self.buffers[i].iter() {
-                env.src.hash(&mut h);
-                env.payload.hash(&mut h);
-            }
+        i.hash(&mut h);
+        self.procs[i].hash(&mut h);
+        self.statuses[i].is_alive().hash(&mut h);
+        self.decided_flags[i].hash(&mut h);
+        for env in self.buffers[i].iter() {
+            env.src.hash(&mut h);
+            env.payload.hash(&mut h);
         }
         h.finish()
     }
+}
+
+/// Folds per-process fingerprint components, in process order, into a
+/// configuration fingerprint (see [`Simulation::config_fingerprint`]).
+pub(crate) fn combine_fingerprints(components: impl IntoIterator<Item = u64>) -> u64 {
+    use std::hash::Hasher;
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    for c in components {
+        h.write_u64(c);
+    }
+    h.finish()
 }
 
 impl<P, O> Clone for Simulation<P, O>
@@ -670,6 +715,7 @@ where
             observed: self.observed.clone(),
             violations: self.violations.clone(),
             recorder: self.recorder.clone(),
+            tracing: self.tracing,
             total_steps: self.total_steps,
         }
     }
@@ -1258,6 +1304,56 @@ mod tests {
         assert_ne!(a.config_fingerprint(), b.config_fingerprint());
         assert_eq!(a.time(), Time::new(1));
         assert_eq!(b.time(), Time::new(2));
+    }
+
+    #[test]
+    fn untraced_fork_steps_like_its_traced_original() {
+        // The explorer's forks record nothing, yet must reach exactly the
+        // configuration a traced run reaches — through a scheduled crash
+        // with send omission and partial per-source deliveries.
+        let p = ProcessId::new;
+        let keep: Omission = Omission::KeepOnlyTo([p(2)].into());
+        let plan = CrashPlan::none().with_crash_after(p(0), 1, keep);
+        let fresh =
+            || -> Simulation<MinEcho, NoOracle> { Simulation::new(vec![4, 1, 7], plan.clone()) };
+        let steps = [
+            (p(1), Delivery::None),
+            (p(2), Delivery::None),
+            // p1's final step: it hears p2 but not p3, and only p3 gets
+            // its broadcast.
+            (p(0), Delivery::AllFrom([p(1)].into())),
+            (p(2), Delivery::AllFrom([p(0)].into())),
+            (p(2), Delivery::All),
+        ];
+        let mut reference = fresh();
+        for (pid, delivery) in &steps {
+            reference.step(*pid, delivery.clone()).unwrap();
+        }
+        // Fork after the first step, so the fork drops a non-empty trace.
+        let mut original = fresh();
+        original.step(p(1), Delivery::None).unwrap();
+        let mut fork = original.clone();
+        fork.stop_tracing();
+        assert!(fork.trace().events().is_empty());
+        for (pid, delivery) in &steps[1..] {
+            original.step(*pid, delivery.clone()).unwrap();
+            fork.step(*pid, delivery.clone()).unwrap();
+        }
+        assert!(!fork.is_alive(p(0)), "the scheduled crash struck");
+        assert_eq!(fork.buffer(p(1)).len(), 2, "p1's broadcast skipped p2");
+        assert_eq!(fork.failure_pattern(), original.failure_pattern());
+        assert_eq!(fork.config_fingerprint(), original.config_fingerprint());
+        assert_eq!(fork.decisions(), original.decisions());
+        assert_eq!(fork.decision(p(2)), Some(&1));
+        for q in ProcessId::all(3) {
+            assert!(
+                fork.buffer(q).iter().eq(original.buffer(q).iter()),
+                "buffer of {q}"
+            );
+        }
+        assert!(fork.trace().events().is_empty());
+        assert_eq!(original.trace().step_count(), steps.len() as u64);
+        assert_eq!(original.trace().events(), reference.trace().events());
     }
 
     #[test]

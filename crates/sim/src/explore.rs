@@ -25,7 +25,7 @@
 
 use std::collections::HashSet;
 
-use crate::engine::Simulation;
+use crate::engine::{combine_fingerprints, Simulation};
 use crate::ids::ProcessId;
 use crate::oracle::Oracle;
 use crate::process::Process;
@@ -70,7 +70,7 @@ pub struct ExploreReport {
     /// Terminal configurations reached (all correct decided, or no moves).
     pub terminals: usize,
     /// Whether the state or depth budget was exhausted (the check is then
-    /// a bounded verification, not a full one).
+    /// partial, not even complete up to the depth bound; see [`explore`]).
     pub truncated: bool,
     /// The first safety violation found, with the schedule reaching it.
     pub violation: Option<ViolationPath>,
@@ -101,6 +101,19 @@ pub struct ViolationPath {
 /// Crash plans are honoured (the explorer also branches over *when*
 /// plan-scheduled crashes strike, since those are driven by local step
 /// counts and thus by the schedule itself).
+///
+/// The configurations handed to `check` descend from one fork of `sim`
+/// that records no trace: their [`Simulation::trace`] is empty. A
+/// configuration's history is the schedule reaching it, which a violation
+/// reports as its [`ViolationPath`]; replay that path on `sim` to get the
+/// trace.
+///
+/// A `truncated` report is not a complete verification up to
+/// `max_depth`. Deduplication is depth-first: a configuration first
+/// reached at the depth bound is not expanded, and a shorter path that
+/// reaches it later finds it already seen, so states within the bound can
+/// go unexplored. Only an untruncated report ([`ExploreReport::verified`])
+/// covers every schedule.
 pub fn explore<P, O>(
     sim: &Simulation<P, O>,
     config: &ExploreConfig,
@@ -121,10 +134,13 @@ where
         truncated: false,
         violation: None,
     };
-    // Depth-first over (configuration, path).
-    let mut stack: Vec<(Simulation<P, O>, Vec<Choice>)> = vec![(sim.clone(), Vec::new())];
-    seen.insert(sim.config_fingerprint());
-    if let Err(reason) = check(sim) {
+    let mut root = sim.clone();
+    root.stop_tracing();
+    let components: Vec<u64> = ProcessId::all(root.n())
+        .map(|p| root.process_fingerprint(p))
+        .collect();
+    seen.insert(combine_fingerprints(components.iter().copied()));
+    if let Err(reason) = check(&root) {
         report.violation = Some(ViolationPath {
             reason,
             path: Vec::new(),
@@ -132,17 +148,32 @@ where
         return report;
     }
 
-    while let Some((current, path)) = stack.pop() {
+    let mut stack = vec![Frame {
+        sim: root,
+        components,
+        depth: 0,
+        reached_by: None,
+    }];
+    // The schedule reaching the frame being expanded, shared by every frame:
+    // a popped frame at depth d keeps its parent's d − 1 choices.
+    let mut path: Vec<Choice> = Vec::new();
+    let mut next: Vec<u64> = Vec::new();
+    while let Some(frame) = stack.pop() {
         if report.states_expanded >= config.max_states {
             report.truncated = true;
             return report;
         }
         report.states_expanded += 1;
+        let current = frame.sim;
+        if let Some(choice) = frame.reached_by {
+            path.truncate(frame.depth - 1);
+            path.push(choice);
+        }
         if current.all_correct_decided() {
             report.terminals += 1;
             continue;
         }
-        if path.len() >= config.max_depth {
+        if frame.depth >= config.max_depth {
             report.truncated = true;
             continue;
         }
@@ -158,21 +189,37 @@ where
                     continue;
                 }
                 any_move = true;
-                if !seen.insert(child.config_fingerprint()) {
+                // A step changes the stepping process's component and can
+                // only append to other buffers: rehash just those.
+                next.clear();
+                next.extend(ProcessId::all(current.n()).map(|q| {
+                    if q == pid || child.buffer(q).len() != current.buffer(q).len() {
+                        child.process_fingerprint(q)
+                    } else {
+                        frame.components[q.index()]
+                    }
+                }));
+                let fingerprint = combine_fingerprints(next.iter().copied());
+                debug_assert_eq!(fingerprint, child.config_fingerprint());
+                if !seen.insert(fingerprint) {
                     continue; // already explored an equivalent configuration
                 }
+                let choice = Choice { pid, delivery };
                 if let Err(reason) = check(&child) {
                     let mut vpath = path.clone();
-                    vpath.push(Choice { pid, delivery });
+                    vpath.push(choice);
                     report.violation = Some(ViolationPath {
                         reason,
                         path: vpath,
                     });
                     return report;
                 }
-                let mut child_path = path.clone();
-                child_path.push(Choice { pid, delivery });
-                stack.push((child, child_path));
+                stack.push(Frame {
+                    sim: child,
+                    components: next.clone(),
+                    depth: frame.depth + 1,
+                    reached_by: Some(choice),
+                });
             }
         }
         if !any_move {
@@ -180,6 +227,15 @@ where
         }
     }
     report
+}
+
+/// A DFS stack entry: a configuration, its per-process fingerprint
+/// components, its depth, and the choice reaching it (`None` at the root).
+struct Frame<P: Process, O: Oracle<Sample = P::Fd>> {
+    sim: Simulation<P, O>,
+    components: Vec<u64>,
+    depth: usize,
+    reached_by: Option<Choice>,
 }
 
 /// Exhaustively explores all schedules of a compiled

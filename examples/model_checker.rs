@@ -54,6 +54,7 @@ fn main() {
         },
     );
     assert!(report.violation.is_none());
+    assert!(!report.truncated, "every schedule fits the bound");
 
     // 2. Refute: the (Σ2, Ω2) LeaderAdopt candidate on n = 4, k = 2, with
     //    the partition detector of Definition 7 — the explorer finds the

@@ -13,6 +13,7 @@ use kset::core::algorithms::two_stage::{two_stage_inputs, TwoStage};
 use kset::core::task::distinct_proposals;
 use kset::fd::PartitionSigmaOmega;
 use kset::sim::explore::{explore, Branching, ExploreConfig};
+use kset::sim::sched::Delivery;
 use kset::sim::{CrashPlan, ProcessId, ProcessSet, Simulation, Time};
 
 fn pid(i: usize) -> ProcessId {
@@ -48,10 +49,8 @@ fn two_stage_consensus_exhaustive_n3() {
         Ok(())
     });
     assert!(report.violation.is_none(), "{:?}", report.violation);
-    assert!(
-        report.terminals > 0,
-        "some run must complete within the bound"
-    );
+    assert!(!report.truncated, "every schedule fits the bound");
+    assert_eq!((report.states_expanded, report.terminals), (246, 43));
 }
 
 #[test]
@@ -82,6 +81,12 @@ fn two_stage_with_initial_crash_exhaustive() {
             "dead={dead}: {:?}",
             report.violation
         );
+        assert!(!report.truncated, "dead={dead}: truncated");
+        assert_eq!(
+            (report.states_expanded, report.terminals),
+            (9, 1),
+            "dead={dead}"
+        );
     }
 }
 
@@ -93,7 +98,7 @@ fn two_stage_per_source_branching_exhaustive() {
         CrashPlan::none(),
     );
     let config = ExploreConfig {
-        max_depth: 10,
+        max_depth: 64,
         max_states: 400_000,
         branching: Branching::PerSource,
     };
@@ -104,7 +109,46 @@ fn two_stage_per_source_branching_exhaustive() {
         }
         Ok(())
     });
-    assert!(report.violation.is_none(), "{:?}", report.violation);
+    assert!(
+        report.verified(),
+        "truncated={} violation={:?}",
+        report.truncated,
+        report.violation
+    );
+    assert_eq!((report.states_expanded, report.terminals), (2263, 153));
+}
+
+#[test]
+fn two_stage_n4_one_dead_per_source_exhaustive() {
+    // n = 4, f = 1 initially dead, L = n − f = 3: ⌊4/3⌋ = 1 decision under
+    // every per-source schedule, and never the dead process's value.
+    let dead = 3;
+    let sim: Simulation<TwoStage, _> = Simulation::new(
+        two_stage_inputs(3, &distinct_proposals(4)),
+        CrashPlan::initially_dead([pid(dead)]),
+    );
+    let config = ExploreConfig {
+        max_depth: 64,
+        max_states: 400_000,
+        branching: Branching::PerSource,
+    };
+    let report = explore(&sim, &config, |s| {
+        let d = distinct_decisions(s);
+        if d.len() > 1 {
+            return Err(format!("{} distinct decisions", d.len()));
+        }
+        if d.contains(&(dead as u64)) {
+            return Err("decided a dead process's value".into());
+        }
+        Ok(())
+    });
+    assert!(
+        report.verified(),
+        "truncated={} violation={:?}",
+        report.truncated,
+        report.violation
+    );
+    assert_eq!((report.states_expanded, report.terminals), (764, 8));
 }
 
 #[test]
@@ -152,6 +196,23 @@ fn explorer_rediscovers_theorem10_violation() {
     let v = report
         .violation
         .expect("Theorem 10's violation must be reachable");
+    // The DFS order is part of the explorer's contract: the same violation
+    // after the same number of expansions, down the same schedule.
+    assert_eq!(report.states_expanded, 7);
+    let path: Vec<(usize, Delivery)> = v
+        .path
+        .iter()
+        .map(|c| (c.pid.index(), c.delivery.clone()))
+        .collect();
+    assert_eq!(
+        path,
+        [
+            (3, Delivery::None),
+            (2, Delivery::All),
+            (1, Delivery::None),
+            (0, Delivery::None)
+        ]
+    );
     // Replay the discovered schedule and confirm.
     let blocks: Vec<ProcessSet> = vec![[pid(0), pid(1), pid(2)].into(), [pid(3)].into()];
     let oracle = PartitionSigmaOmega::new(n, blocks, Time::new(1_000_000), [pid(0), pid(1)].into());
