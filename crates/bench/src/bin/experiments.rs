@@ -22,18 +22,15 @@
 //! # resume recomputes only the owed cells and rewrites the completed
 //! # file, byte-identical to an uninterrupted sweep.
 //! experiments sweep --resume border-1.txt
-//!
-//! # Fleet mode: a coordinator leases cell ranges to TCP workers, steals
-//! # work back from crashed or hung ones, and streams the incrementally
-//! # merged file — byte-identical to --seq under any worker churn.
-//! experiments coordinate --grid scale --listen 127.0.0.1:7700 --out scale.txt
-//! experiments work --connect 127.0.0.1:7700 --name w0
-//! experiments work --connect 127.0.0.1:7700 --name w1 --fail-after 5  # chaos
 //! ```
 //!
-//! The merged file is **byte-identical** to the sequential one whenever
-//! the shards cover the grid exactly — that identity is the shard-matrix
-//! conformance gate in CI. Grid names resolve through
+//! The table flags are `--e1` … `--e7`; any other argument that is not a
+//! subcommand is a usage error (exit 2). The merged file is
+//! **byte-identical** to the sequential one whenever the shards cover the
+//! grid exactly — that identity is the shard-matrix conformance gate in
+//! CI. Multi-host runs use the same path: each host sweeps its shards,
+//! `merge` reassembles them, and `--resume` finishes a shard whose host
+//! died mid-range. Grid names resolve through
 //! [`kset_bench::sweeps`]; cells are citable as `(grid_seed, index)`.
 //!
 //! The table output is recorded in EXPERIMENTS.md; the "paper" columns are
@@ -59,37 +56,37 @@ use kset_impossibility::{
 use kset_sim::sweep::sweep;
 use kset_sim::ProcessId;
 
+/// The table flags, in print order.
+const TABLES: [(&str, fn()); 7] = [
+    ("--e1", e1_theorem2),
+    ("--e2", e2_theorem8_possible),
+    ("--e3", e3_theorem8_border),
+    ("--e4", e4_theorem10),
+    ("--e5", e5_corollary13),
+    ("--e6", e6_graph_lemmas),
+    ("--e7", e7_discrete_event),
+];
+
+/// In-flight results the streaming sweep writers hold at most.
+const WINDOW: usize = 64;
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("sweep") => return sweep_cmd(&args[1..]),
         Some("merge") => return merge_cmd(&args[1..]),
-        Some("coordinate") => return coordinate_cmd(&args[1..]),
-        Some("work") => return work_cmd(&args[1..]),
         _ => {}
     }
-    let want = |tag: &str| args.is_empty() || args.iter().any(|a| a == tag);
-
-    if want("--e1") {
-        e1_theorem2();
+    if let Some(other) = args
+        .iter()
+        .find(|a| TABLES.iter().all(|(flag, _)| flag != a))
+    {
+        usage(&format!("unknown argument {other:?}"));
     }
-    if want("--e2") {
-        e2_theorem8_possible();
-    }
-    if want("--e3") {
-        e3_theorem8_border();
-    }
-    if want("--e4") {
-        e4_theorem10();
-    }
-    if want("--e5") {
-        e5_corollary13();
-    }
-    if want("--e6") {
-        e6_graph_lemmas();
-    }
-    if want("--e7") {
-        e7_discrete_event();
+    for (flag, table) in TABLES {
+        if args.is_empty() || args.iter().any(|a| a == flag) {
+            table();
+        }
     }
 }
 
@@ -369,13 +366,12 @@ fn fail(msg: impl std::fmt::Display) -> ! {
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: experiments sweep --grid <{names}> --out FILE \
-         [--grid-seed N] [--shard I/J] [--window N] [--seq | --batch B]\n\
-         \u{20}      experiments sweep --resume FILE [--out FILE] [--window N]\n\
-         \u{20}      experiments merge --out FILE [--check-against-sequential] SHARD_FILE...\n\
-         \u{20}      experiments coordinate --grid <{names}> --listen ADDR --out FILE \
-         [--grid-seed N] [--lease-cells N] [--lease-timeout-ms N] [--resume FILE]\n\
-         \u{20}      experiments work --connect ADDR [--name NAME] [--fail-after N]",
+        "usage: experiments [{tables}]   (no flag: every table)\n\
+         \u{20}      experiments sweep --grid <{names}> --out FILE \
+         [--grid-seed N] [--shard I/J] [--seq | --batch B]\n\
+         \u{20}      experiments sweep --resume FILE [--out FILE]\n\
+         \u{20}      experiments merge --out FILE [--check-against-sequential] SHARD_FILE...",
+        tables = TABLES.map(|(flag, _)| flag).join("] ["),
         names = kset_bench::sweeps::GRID_NAMES.join("|")
     );
     std::process::exit(2);
@@ -400,7 +396,6 @@ fn sweep_cmd(args: &[String]) {
     let mut grid_seed: u64 = 42;
     let mut shard = ShardSpec::FULL;
     let mut out: Option<String> = None;
-    let mut window: usize = 64;
     let mut seq = false;
     let mut batch: Option<usize> = None;
     let mut resume: Option<String> = None;
@@ -430,13 +425,6 @@ fn sweep_cmd(args: &[String]) {
                     .unwrap_or_else(|e| usage(&format!("bad --shard: {e}")));
             }
             "--out" => out = Some(value("--out").clone()),
-            "--window" => {
-                window = value("--window")
-                    .parse()
-                    .ok()
-                    .filter(|&w: &usize| w > 0)
-                    .unwrap_or_else(|| usage("bad --window: need an integer of at least 1"));
-            }
             "--seq" => seq = true,
             "--batch" => {
                 batch = Some(
@@ -457,7 +445,7 @@ fn sweep_cmd(args: &[String]) {
                 "--resume reads every parameter from the file's header; drop {flag}"
             ));
         }
-        return resume_cmd(&resume, out.as_deref().unwrap_or(&resume), window);
+        return resume_cmd(&resume, out.as_deref().unwrap_or(&resume));
     }
     let Some(grid_name) = grid_name else {
         usage("sweep needs --grid");
@@ -491,7 +479,7 @@ fn sweep_cmd(args: &[String]) {
         }
     } else {
         mode = "streaming".to_string();
-        grid.sweep_shard_streaming(shard, window, |record| {
+        grid.sweep_shard_streaming(shard, WINDOW, |record| {
             records += 1;
             writer.emit(&format!("{}\n", record.render_line()));
         });
@@ -542,7 +530,7 @@ impl ShardWriter {
 
 /// The `sweep --resume` path: parse the partial file, recompute only the
 /// owed cells, rewrite the completed shard file.
-fn resume_cmd(resume_path: &str, out: &str, window: usize) {
+fn resume_cmd(resume_path: &str, out: &str) {
     use kset_sim::sweep::PartialShardFile;
 
     let text = std::fs::read_to_string(resume_path)
@@ -578,7 +566,7 @@ fn resume_cmd(resume_path: &str, out: &str, window: usize) {
         writer.emit(&format!("{}\n", record.render_line()));
     }
     let mut records = resumed;
-    grid.sweep_range_streaming(owed, window, |record| {
+    grid.sweep_range_streaming(owed, WINDOW, |record| {
         records += 1;
         writer.emit(&format!("{}\n", record.render_line()));
     });
@@ -669,231 +657,6 @@ fn merge_cmd(args: &[String]) {
             merged.header.grid_seed,
             merged.records.len(),
         );
-    }
-}
-
-/// Coordinator-side progress log: one stderr line per scheduling event,
-/// driven by the fleet's typed observer hooks (stdout stays reserved for
-/// the machine-readable listening/summary lines).
-struct LogObserver;
-
-impl kset_sim::fleet::FleetObserver for LogObserver {
-    fn on_worker_connected(&mut self, worker: &str) {
-        eprintln!("fleet: worker {worker} connected");
-    }
-    fn on_lease_granted(&mut self, lease: u64, worker: &str, range: &std::ops::Range<usize>) {
-        eprintln!(
-            "fleet: lease {lease} -> {worker}: cells {}..{}",
-            range.start, range.end
-        );
-    }
-    fn on_lease_expired(&mut self, lease: u64, worker: &str, remainder: &std::ops::Range<usize>) {
-        eprintln!(
-            "fleet: lease {lease} ({worker}) expired; reassigning {}..{}",
-            remainder.start, remainder.end
-        );
-    }
-    fn on_worker_lost(&mut self, worker: &str) {
-        eprintln!("fleet: worker {worker} lost");
-    }
-    fn on_protocol_fault(&mut self, worker: &str) {
-        eprintln!("fleet: worker {worker} violated the protocol; cut off");
-    }
-    fn on_stale_dropped(&mut self, lease: u64) {
-        eprintln!("fleet: stale message for dead lease {lease} dropped");
-    }
-    fn on_complete(&mut self, cells: usize) {
-        eprintln!("fleet: all {cells} cells merged");
-    }
-}
-
-/// `coordinate`: serve a catalog grid to fleet workers until every cell
-/// has merged, streaming the incrementally merged file to `--out` (always
-/// a valid partial-file prefix, so a killed coordinator can be restarted
-/// with `--resume` on its own output). The final file is byte-identical
-/// to `sweep --seq` of the same grid — the fleet CI gate `cmp`s exactly
-/// that.
-fn coordinate_cmd(args: &[String]) {
-    use kset_sim::fleet::{Coordinator, CoordinatorConfig, LeaseParams};
-    use kset_sim::sweep::{PartialShardFile, ShardSpec};
-
-    let mut grid_name: Option<String> = None;
-    let mut grid_seed: u64 = 42;
-    let mut listen: Option<String> = None;
-    let mut out: Option<String> = None;
-    let mut lease_cells: usize = 4;
-    let mut lease_timeout_ms: u64 = 30_000;
-    let mut poll_ms: u64 = 10;
-    let mut resume: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .unwrap_or_else(|| usage(&format!("{flag} needs a value")))
-        };
-        match arg.as_str() {
-            "--grid" => grid_name = Some(value("--grid").clone()),
-            "--grid-seed" => {
-                grid_seed = value("--grid-seed")
-                    .parse()
-                    .unwrap_or_else(|e| usage(&format!("bad --grid-seed: {e}")));
-            }
-            "--listen" => listen = Some(value("--listen").clone()),
-            "--out" => out = Some(value("--out").clone()),
-            "--lease-cells" => {
-                lease_cells = value("--lease-cells")
-                    .parse()
-                    .ok()
-                    .filter(|&c: &usize| c > 0)
-                    .unwrap_or_else(|| usage("bad --lease-cells: need an integer of at least 1"));
-            }
-            "--lease-timeout-ms" => {
-                lease_timeout_ms = value("--lease-timeout-ms")
-                    .parse()
-                    .ok()
-                    .filter(|&t: &u64| t > 0)
-                    .unwrap_or_else(|| {
-                        usage("bad --lease-timeout-ms: need an integer of at least 1")
-                    });
-            }
-            "--poll-ms" => {
-                poll_ms = value("--poll-ms")
-                    .parse()
-                    .ok()
-                    .filter(|&t: &u64| t > 0)
-                    .unwrap_or_else(|| usage("bad --poll-ms: need an integer of at least 1"));
-            }
-            "--resume" => resume = Some(value("--resume").clone()),
-            other => usage(&format!("unknown coordinate argument {other:?}")),
-        }
-    }
-    let Some(grid_name) = grid_name else {
-        usage("coordinate needs --grid");
-    };
-    let Some(listen) = listen else {
-        usage("coordinate needs --listen");
-    };
-    let Some(out) = out else {
-        usage("coordinate needs --out");
-    };
-    let grid = kset_bench::sweeps::grid(&grid_name, grid_seed).unwrap_or_else(|e| fail(e));
-    let grid_id = kset_bench::fleet::grid_id(&grid);
-
-    // `--resume FILE` seeds the merge from a partial coordinator artifact.
-    // Like `sweep --resume`, the rewrite must be kill-safe when it targets
-    // the partial file itself: stage beside it, rename once complete. A
-    // fresh run writes `--out` directly — the streamed partial IS the
-    // crash artifact.
-    let resume_records = match &resume {
-        None => Vec::new(),
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| fail(format_args!("cannot read {path}: {e}")));
-            let partial = PartialShardFile::parse(&text)
-                .unwrap_or_else(|e| fail(format_args!("{path}: {e}")));
-            let expected = grid.header(ShardSpec::FULL);
-            if partial.header != expected {
-                fail(format_args!(
-                    "{path}: header does not match the current \"{grid_name}\" catalog \
-                     grid (fleet artifacts are always full-grid, shard 0/1); \
-                     re-coordinate instead of resuming"
-                ));
-            }
-            partial.records
-        }
-    };
-    let resumed = resume_records.len();
-
-    let config = CoordinatorConfig {
-        lease: LeaseParams {
-            cells: lease_cells,
-            timeout: std::time::Duration::from_millis(lease_timeout_ms),
-        },
-        poll: std::time::Duration::from_millis(poll_ms),
-    };
-    let coordinator =
-        Coordinator::bind(&listen, grid_id, resume_records, config).unwrap_or_else(|e| fail(e));
-    let addr = coordinator.local_addr().unwrap_or_else(|e| fail(e));
-    println!("coordinate listening on {addr} grid={grid_name} seed={grid_seed}");
-    // The line above is how spawning tests/scripts learn the bound port;
-    // make sure it crosses a pipe before the (potentially long) run.
-    {
-        use std::io::Write as _;
-        let _ = std::io::stdout().flush();
-    }
-
-    let staging = resume.as_deref().map(|_| format!("{out}.resume-tmp"));
-    let write_path = staging.as_deref().unwrap_or(&out);
-    let mut writer = ShardWriter::create(write_path);
-    let mut log = LogObserver;
-    let (_file, counts) = coordinator
-        .run(&mut log, |chunk| writer.emit(chunk))
-        .unwrap_or_else(|e| fail(e));
-    let file_digest = writer.finish();
-    if let Some(staging) = &staging {
-        std::fs::rename(staging, &out)
-            .unwrap_or_else(|e| fail(format_args!("cannot move {staging} into {out}: {e}")));
-    }
-    println!(
-        "coordinate grid={grid_name} seed={grid_seed} cells={merged} resumed={resumed} \
-         workers={workers} leases={leases} completed={completed} expired={expired} \
-         stale={stale} lost={lost} faults={faults} out={out} file-digest={file_digest:#018x}",
-        merged = counts.merged,
-        workers = counts.workers,
-        leases = counts.leases,
-        completed = counts.completed,
-        expired = counts.expired,
-        stale = counts.stale,
-        lost = counts.lost,
-        faults = counts.faults,
-    );
-}
-
-/// `work`: one fleet worker computing catalog cells for the coordinator at
-/// `--connect` until it says fin. `--fail-after N` is deterministic fault
-/// injection — the worker drops its connection cold after computing N
-/// cells (exit code 3), which is what the chaos gates use to kill workers
-/// mid-range on purpose.
-fn work_cmd(args: &[String]) {
-    use kset_sim::fleet::{run_worker, WorkerConfig};
-
-    let mut connect: Option<String> = None;
-    let mut name = "worker".to_string();
-    let mut fail_after: Option<usize> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .unwrap_or_else(|| usage(&format!("{flag} needs a value")))
-        };
-        match arg.as_str() {
-            "--connect" => connect = Some(value("--connect").clone()),
-            "--name" => name = value("--name").clone(),
-            "--fail-after" => {
-                fail_after = Some(
-                    value("--fail-after")
-                        .parse()
-                        .unwrap_or_else(|e| usage(&format!("bad --fail-after: {e}"))),
-                );
-            }
-            other => usage(&format!("unknown work argument {other:?}")),
-        }
-    }
-    let Some(connect) = connect else {
-        usage("work needs --connect");
-    };
-    let config = WorkerConfig { name, fail_after };
-    let report = run_worker(&connect, &config, kset_bench::fleet::catalog_source())
-        .unwrap_or_else(|e| fail(e));
-    println!(
-        "work name={} leases={} cells={} injected-failure={}",
-        config.name,
-        report.leases,
-        report.cells,
-        glyph(report.injected_failure),
-    );
-    if report.injected_failure {
-        std::process::exit(3);
     }
 }
 

@@ -10,7 +10,6 @@
 
 use std::fmt::Write as _;
 
-pub mod fleet;
 pub mod sweeps;
 
 /// A simple fixed-width text table.

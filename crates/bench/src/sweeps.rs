@@ -166,8 +166,8 @@ impl SweepGrid {
     ///
     /// # Panics
     ///
-    /// Panics if `window == 0` (the CLI validates its `--window` before
-    /// reaching here; library callers own the same contract).
+    /// Panics if `window == 0` (the CLI passes a fixed window of 64;
+    /// library callers own the same contract).
     pub fn sweep_shard_streaming(
         &self,
         shard: ShardSpec,

@@ -13,8 +13,7 @@
 //! communication, not by the number of failures.
 
 use kset_sim::observe::EventCounts;
-use kset_sim::planes::LimbPlanes;
-use kset_sim::{ProcessId, ProcessSet, Scenario, SenderMap, PSET_LIMBS};
+use kset_sim::{ProcessId, ProcessSet, Scenario, SenderMap};
 
 use crate::scenario::ScenarioRounds;
 use crate::sync::{RoundCrash, RoundProcess, SyncOutcome};
@@ -88,9 +87,9 @@ pub struct FloodMinLane {
 /// broadcasts its minimum, everyone keeps the smallest value heard" —
 /// collapses to one branch-free column-minimum pass over `n × B`
 /// contiguous words plus a select-update, with crash omissions applied
-/// sparsely afterwards. Crashed slots carry a [`Val::MAX`] sentinel and
-/// the per-lane alive masks are [`LimbPlanes`] columns, so a crash is a
-/// single-word and-not.
+/// sparsely afterwards. Crashed slots carry a [`Val::MAX`] sentinel; each
+/// lane keeps its own [`ProcessSet`] alive mask, touched only once per
+/// crash, outside the column pass.
 ///
 /// Each lane's `(SyncOutcome, EventCounts)` is **identical** to what a
 /// scalar [`run_sync`](crate::sync::run_sync) of the same cell under an
@@ -117,7 +116,7 @@ pub fn floodmin_batch(
     // mins[p * B + lane]: process p's current minimum in each lane;
     // Val::MAX marks a crashed slot.
     let mut mins = vec![Val::MAX; n * b];
-    let mut alive: LimbPlanes<PSET_LIMBS> = LimbPlanes::filled(b, full);
+    let mut alive = vec![full; b];
     let mut alive_count = vec![n as u64; b];
     let mut counts = vec![EventCounts::default(); b];
     // Crash schedules bucketed by round; entries that can never fire in a
@@ -156,7 +155,7 @@ pub fn floodmin_batch(
             let slot = &mut mins[pid.index() * b + lane];
             let sent = *slot;
             *slot = Val::MAX;
-            alive.lane_remove(lane, pid);
+            alive[lane].remove(pid);
             alive_count[lane] -= 1;
             let reach = receivers.intersection(full);
             counts[lane].dropped += (n - reach.len()) as u64;
@@ -182,8 +181,7 @@ pub fn floodmin_batch(
         // Omission deliveries: each crasher's value still reaches the
         // survivors it chose.
         for (lane, sent, reach) in late.iter_mut() {
-            let alive_after = alive.lane(*lane);
-            *reach = reach.intersection(alive_after);
+            *reach = reach.intersection(alive[*lane]);
             for p in reach.iter() {
                 let slot = &mut mins[p.index() * b + *lane];
                 *slot = (*slot).min(*sent);
@@ -208,7 +206,7 @@ pub fn floodmin_batch(
     }
     (0..b)
         .map(|lane| {
-            let alive_set = alive.lane(lane);
+            let alive_set = alive[lane];
             let decisions = (0..n)
                 .map(|p| {
                     alive_set

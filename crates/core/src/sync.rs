@@ -19,10 +19,9 @@
 use std::fmt;
 
 use kset_sim::observe::{
-    CrashEvent, DecideEvent, DeliverEvent, EventCounts, NoObserver, Observer, RoundEvent, SendEvent,
+    CrashEvent, DecideEvent, DeliverEvent, NoObserver, Observer, RoundEvent, SendEvent,
 };
-use kset_sim::planes::LimbPlanes;
-use kset_sim::{CapacityError, Engine, ProcessId, ProcessSet, SenderMap, Time, PSET_LIMBS};
+use kset_sim::{CapacityError, Engine, ProcessId, ProcessSet, SenderMap, Time};
 
 use crate::task::Val;
 
@@ -400,303 +399,6 @@ pub fn run_sync<P: RoundProcess>(
     engine.outcome()
 }
 
-/// Why a [`BatchedLockStep`] could not be assembled from its lanes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchError {
-    /// The batch has no lanes.
-    Empty,
-    /// The shared system size exceeds [`ProcessSet::CAPACITY`].
-    Capacity(CapacityError),
-    /// Lane `lane` has `len` processes where the batch shape demands `n`
-    /// (all lanes of a batch share one `(n, rounds)` shape).
-    ShapeMismatch {
-        /// The offending lane.
-        lane: usize,
-        /// Its process count.
-        len: usize,
-        /// The batch's process count (lane 0's).
-        n: usize,
-    },
-}
-
-impl fmt::Display for BatchError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BatchError::Empty => write!(f, "a batch needs at least one lane"),
-            BatchError::Capacity(e) => e.fmt(f),
-            BatchError::ShapeMismatch { lane, len, n } => write!(
-                f,
-                "lane {lane} has {len} processes but the batch shape has {n}; \
-                 batches run same-shape cells only"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for BatchError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            BatchError::Capacity(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-/// One lane of a [`BatchedLockStep`]: its processes and crash schedule.
-type BatchLane<P> = (Vec<P>, Vec<RoundCrash>);
-
-/// The batched lock-step executor: `B` independent same-shape cells —
-/// identical `(n, rounds)`, independent processes, seeds and crash
-/// schedules — advanced **one round per unit across all lanes**, with
-/// shared state held structure-of-arrays.
-///
-/// Per-lane alive masks live in a [`LimbPlanes`] buffer (limb-major,
-/// lane-minor), so a crash is a single-word and-not on one plane and the
-/// surviving-count tallies are plane passes; the round inboxes are one
-/// reusable scratch arena instead of `n` fresh maps per lane per round.
-/// Event totals ([`EventCounts`]) are maintained *arithmetically* from the
-/// send/crash/receive phases — per lane they equal exactly what an
-/// [`EventCounter`](kset_sim::observe::EventCounter) attached to a scalar
-/// [`LockStep::drive_observed`] run of the same cell reports, which is
-/// what lets a batched sweep reproduce an observed sequential sweep's
-/// records byte for byte.
-///
-/// Semantics per lane are **identical** to a scalar [`LockStep`] run:
-/// crashing senders deliver to their chosen receivers only, just-crashed
-/// processes skip the receive phase, every scheduled round executes.
-///
-/// # Examples
-///
-/// ```
-/// use kset_core::sync::{run_sync_batch, LockStep, RoundProcess};
-/// use kset_core::Val;
-/// use kset_sim::{Engine, SenderMap};
-///
-/// #[derive(Debug, Clone)]
-/// struct Echo(Option<usize>);
-///
-/// impl RoundProcess for Echo {
-///     type Msg = ();
-///     fn message(&self, _round: usize) {}
-///     fn receive(&mut self, _round: usize, msgs: &SenderMap<()>) {
-///         self.0 = Some(msgs.len());
-///     }
-///     fn decision(&self) -> Option<Val> {
-///         self.0.map(|h| h as Val)
-///     }
-/// }
-///
-/// let lanes = vec![
-///     (vec![Echo(None); 3], Vec::new()),
-///     (vec![Echo(None); 3], Vec::new()),
-/// ];
-/// let results = run_sync_batch(lanes, 1).unwrap();
-/// assert_eq!(results.len(), 2);
-/// assert_eq!(results[0].0.decisions, vec![Some(3); 3]);
-/// assert_eq!(results[0].1.sends, 9);
-/// assert_eq!(results[0].1.halts, 1);
-/// ```
-#[derive(Debug, Clone)]
-pub struct BatchedLockStep<P: RoundProcess> {
-    n: usize,
-    max_rounds: usize,
-    /// Rounds fully executed so far (uniform across lanes).
-    round: usize,
-    procs: Vec<Vec<P>>,
-    crashes: Vec<Vec<RoundCrash>>,
-    /// Per-lane alive masks, limb-major (lane `b` = plane column `b`).
-    alive: LimbPlanes<PSET_LIMBS>,
-    counts: Vec<EventCounts>,
-    /// Scratch round inboxes, reused across lanes and rounds.
-    inbox: Vec<SenderMap<P::Msg>>,
-    halted: bool,
-}
-
-impl<P: RoundProcess> BatchedLockStep<P> {
-    /// Creates a batched executor over `lanes`, each running `rounds`
-    /// lock-step rounds.
-    ///
-    /// # Errors
-    ///
-    /// [`BatchError::Empty`] without lanes, [`BatchError::Capacity`] if
-    /// the shared `n` exceeds [`ProcessSet::CAPACITY`], and
-    /// [`BatchError::ShapeMismatch`] if a lane's process count differs
-    /// from lane 0's.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a lane schedules two crashes for the same process — the
-    /// same malformed-schedule contract as [`LockStep::try_new`].
-    pub fn try_new(lanes: Vec<BatchLane<P>>, rounds: usize) -> Result<Self, BatchError> {
-        let Some(n) = lanes.first().map(|(procs, _)| procs.len()) else {
-            return Err(BatchError::Empty);
-        };
-        if n > ProcessSet::CAPACITY {
-            return Err(BatchError::Capacity(CapacityError::new(
-                n,
-                ProcessSet::CAPACITY,
-            )));
-        }
-        for (lane, (procs, crashes)) in lanes.iter().enumerate() {
-            if procs.len() != n {
-                return Err(BatchError::ShapeMismatch {
-                    lane,
-                    len: procs.len(),
-                    n,
-                });
-            }
-            let mut seen = ProcessSet::new();
-            for c in crashes {
-                assert!(seen.insert(c.pid), "duplicate crash for {}", c.pid);
-            }
-        }
-        let lane_count = lanes.len();
-        let (procs, crashes) = lanes.into_iter().unzip();
-        Ok(BatchedLockStep {
-            n,
-            max_rounds: rounds,
-            round: 0,
-            procs,
-            crashes,
-            // kset-lint: allow(unchecked-capacity): n ≤ CAPACITY was typed-checked a few lines above (BatchError::Capacity), so full(n) cannot panic here
-            alive: LimbPlanes::filled(lane_count, ProcessSet::full(n)),
-            counts: vec![EventCounts::default(); lane_count],
-            inbox: (0..n).map(|_| SenderMap::with_capacity(n)).collect(),
-            halted: false,
-        })
-    }
-
-    /// Number of lanes in the batch.
-    pub fn lanes(&self) -> usize {
-        self.procs.len()
-    }
-
-    /// Rounds executed so far (all lanes advance together).
-    pub fn round(&self) -> usize {
-        self.round
-    }
-
-    /// Executes one round across every lane; returns `false` once the
-    /// scheduled rounds are exhausted.
-    pub fn advance(&mut self) -> bool {
-        if self.round >= self.max_rounds {
-            return false;
-        }
-        let n = self.n;
-        let round = self.round + 1;
-        for b in 0..self.procs.len() {
-            let mut alive = self.alive.lane(b);
-            let alive_start = alive.len() as u64;
-            let counts = &mut self.counts[b];
-            counts.rounds += 1;
-            for m in &mut self.inbox {
-                m.clear();
-            }
-            // Send phase (mirrors LockStep::execute_round_observed): every
-            // alive sender broadcasts; a crasher reaches its chosen
-            // receivers only, the other sends count as dropped.
-            for i in 0..n {
-                let pid = ProcessId::new(i);
-                if !alive.contains(pid) {
-                    continue;
-                }
-                let msg = self.procs[b][i].message(round);
-                counts.sends += n as u64;
-                let crash_now = self.crashes[b]
-                    .iter()
-                    .find(|c| c.pid == pid && c.round == round);
-                match crash_now {
-                    None => {
-                        for dst in 0..n {
-                            self.inbox[dst].insert(pid, msg.clone());
-                        }
-                    }
-                    Some(c) => {
-                        // kset-lint: allow(unchecked-capacity): n was capacity-validated by try_new and is immutable after construction
-                        let reach = c.receivers.intersection(ProcessSet::full(n));
-                        for dst in reach.iter() {
-                            self.inbox[dst.index()].insert(pid, msg.clone());
-                        }
-                        counts.dropped += (n - reach.len()) as u64;
-                        counts.crashes += 1;
-                        alive.remove(pid);
-                        self.alive.lane_remove(b, pid);
-                    }
-                }
-            }
-            // Receive phase: survivors (just-crashed lanes excluded)
-            // consume their inbox; first decisions are tallied.
-            for i in 0..n {
-                let pid = ProcessId::new(i);
-                if !alive.contains(pid) {
-                    continue;
-                }
-                let p = &mut self.procs[b][i];
-                let had_decided = p.decision().is_some();
-                p.receive(round, &self.inbox[i]);
-                counts.delivers += self.inbox[i].len() as u64;
-                if !had_decided && p.decision().is_some() {
-                    counts.decides += 1;
-                }
-            }
-            debug_assert!(alive.len() as u64 <= alive_start);
-        }
-        self.round = round;
-        true
-    }
-
-    /// Drives every lane through all scheduled rounds and closes each
-    /// lane's event tally with its halt (one per drive, matching a scalar
-    /// `drive_observed`).
-    pub fn run(&mut self) {
-        while self.advance() {}
-        if !self.halted {
-            self.halted = true;
-            for c in &mut self.counts {
-                c.halts += 1;
-            }
-        }
-    }
-
-    /// Per-lane outcomes at the current point, in lane order.
-    pub fn outcomes(&self) -> Vec<SyncOutcome> {
-        // kset-lint: allow(unchecked-capacity): self.n was capacity-validated by try_new and is immutable after construction
-        let full = ProcessSet::full(self.n);
-        (0..self.procs.len())
-            .map(|b| SyncOutcome {
-                decisions: self.procs[b].iter().map(RoundProcess::decision).collect(),
-                crashed: full.difference(self.alive.lane(b)),
-                rounds: self.round,
-            })
-            .collect()
-    }
-
-    /// Per-lane event totals, in lane order.
-    pub fn counts(&self) -> &[EventCounts] {
-        &self.counts
-    }
-}
-
-/// Runs `rounds` lock-step rounds of every lane as one batch, returning
-/// each lane's outcome and event totals — [`BatchedLockStep`] driven to
-/// completion.
-///
-/// # Errors
-///
-/// As [`BatchedLockStep::try_new`].
-pub fn run_sync_batch<P: RoundProcess>(
-    lanes: Vec<BatchLane<P>>,
-    rounds: usize,
-) -> Result<Vec<(SyncOutcome, EventCounts)>, BatchError> {
-    let mut batch = BatchedLockStep::try_new(lanes, rounds)?;
-    batch.run();
-    Ok(batch
-        .outcomes()
-        .into_iter()
-        .zip(batch.counts().iter().copied())
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -901,134 +603,6 @@ mod tests {
         assert_eq!(fp.faulty(), [ProcessId::new(1)].into());
         assert_eq!(fp.crash_time(ProcessId::new(1)), Some(Time::new(2)));
         assert_eq!(trace.events().len(), 1, "exactly the crash history");
-    }
-
-    #[test]
-    fn batched_shape_errors_are_typed() {
-        let empty: Vec<(Vec<CountRound1>, Vec<RoundCrash>)> = Vec::new();
-        assert_eq!(
-            BatchedLockStep::try_new(empty, 1).unwrap_err(),
-            BatchError::Empty
-        );
-        let ragged = vec![
-            (vec![CountRound1 { heard: None }; 3], Vec::new()),
-            (vec![CountRound1 { heard: None }; 2], Vec::new()),
-        ];
-        assert_eq!(
-            BatchedLockStep::try_new(ragged, 1).unwrap_err(),
-            BatchError::ShapeMismatch {
-                lane: 1,
-                len: 2,
-                n: 3
-            }
-        );
-        let oversized = vec![(
-            vec![CountRound1 { heard: None }; ProcessSet::CAPACITY + 1],
-            Vec::new(),
-        )];
-        assert!(matches!(
-            BatchedLockStep::try_new(oversized, 1).unwrap_err(),
-            BatchError::Capacity(_)
-        ));
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate crash")]
-    fn batched_duplicate_crash_rejected() {
-        let c = |round| RoundCrash {
-            round,
-            pid: ProcessId::new(0),
-            receivers: ProcessSet::new(),
-        };
-        let lanes = vec![(vec![CountRound1 { heard: None }; 2], vec![c(1), c(2)])];
-        let _ = BatchedLockStep::try_new(lanes, 2);
-    }
-
-    #[test]
-    fn batched_lane_matches_observed_scalar_run() {
-        use kset_sim::observe::EventCounter;
-
-        // Three lanes sharing (n = 3, rounds = 2) with distinct crash
-        // schedules, one of them crash-free.
-        let schedules: Vec<Vec<RoundCrash>> = vec![
-            Vec::new(),
-            vec![RoundCrash {
-                round: 1,
-                pid: ProcessId::new(0),
-                receivers: [ProcessId::new(1)].into(),
-            }],
-            vec![RoundCrash {
-                round: 2,
-                pid: ProcessId::new(2),
-                receivers: ProcessSet::new(),
-            }],
-        ];
-        let lanes = schedules
-            .iter()
-            .map(|cs| (vec![CountRound1 { heard: None }; 3], cs.clone()))
-            .collect();
-        let batched = run_sync_batch(lanes, 2).unwrap();
-        assert_eq!(batched.len(), 3);
-        for (lane, crashes) in schedules.iter().enumerate() {
-            let mut engine = LockStep::new(vec![CountRound1 { heard: None }; 3], 2, crashes);
-            let mut counter: EventCounter<Val> = EventCounter::new();
-            engine.drive_observed(u64::MAX, &mut counter);
-            let scalar = engine.outcome();
-            let (out, counts) = &batched[lane];
-            assert_eq!(out.decisions, scalar.decisions, "lane {lane} decisions");
-            assert_eq!(out.crashed, scalar.crashed, "lane {lane} crash set");
-            assert_eq!(out.rounds, scalar.rounds, "lane {lane} rounds");
-            assert_eq!(*counts, counter.counts(), "lane {lane} event totals");
-        }
-    }
-
-    #[test]
-    fn batched_lanes_match_scalar_under_random_crash_schedules() {
-        use kset_sim::observe::EventCounter;
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-
-        let mut rng = StdRng::seed_from_u64(0x6a7c);
-        for trial in 0..24u64 {
-            let n = rng.gen_range(2..=9usize);
-            let rounds = rng.gen_range(1..=4usize);
-            let lanes: Vec<(Vec<CountRound1>, Vec<RoundCrash>)> = (0..rng.gen_range(1..=6usize))
-                .map(|_| {
-                    let f = rng.gen_range(0..n);
-                    let mut pids: Vec<usize> = (0..n).collect();
-                    let mut crashes = Vec::new();
-                    for _ in 0..f {
-                        let pid = pids.swap_remove(rng.gen_range(0..pids.len()));
-                        let mut receivers = ProcessSet::new();
-                        for dst in 0..n {
-                            if rng.gen_bool(0.5) {
-                                receivers.insert(ProcessId::new(dst));
-                            }
-                        }
-                        crashes.push(RoundCrash {
-                            round: rng.gen_range(1..=rounds),
-                            pid: ProcessId::new(pid),
-                            receivers,
-                        });
-                    }
-                    (vec![CountRound1 { heard: None }; n], crashes)
-                })
-                .collect();
-            let batched = run_sync_batch(lanes.clone(), rounds).unwrap();
-            for (lane, (procs, crashes)) in lanes.into_iter().enumerate() {
-                let mut engine = LockStep::new(procs, rounds, &crashes);
-                let mut counter: EventCounter<Val> = EventCounter::new();
-                engine.drive_observed(u64::MAX, &mut counter);
-                let scalar = engine.outcome();
-                let (out, counts) = &batched[lane];
-                assert_eq!(
-                    (out.decisions.clone(), out.crashed, out.rounds),
-                    (scalar.decisions, scalar.crashed, scalar.rounds),
-                    "trial {trial} lane {lane} outcome"
-                );
-                assert_eq!(*counts, counter.counts(), "trial {trial} lane {lane}");
-            }
-        }
     }
 
     #[test]

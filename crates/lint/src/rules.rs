@@ -69,11 +69,6 @@ const RECORD_PATH_PREFIXES: &[&str] = &[
     "crates/sim/src/scenario.rs",
     "crates/core/src/scenario.rs",
     "crates/bench/src/sweeps.rs",
-    // The fleet's wire grammar and incremental merge feed bytes into shard
-    // files; the scheduling layers around them (state.rs, coordinator.rs,
-    // worker.rs) legitimately use clocks and sockets and stay out of scope.
-    "crates/sim/src/fleet/proto.rs",
-    "crates/sim/src/fleet/merge.rs",
 ];
 
 /// Files where the engine-driving internals legitimately live: the homes of

@@ -79,27 +79,6 @@ fn sender_map_mutators_check_density() {
 }
 
 #[test]
-fn limb_planes_mutators_check_layout() {
-    let masked = masked_ids_source();
-    let masked = section(&masked, "impl<const W: usize> LimbPlanes<W>");
-    for mutator in [
-        "filled",
-        "set_lane",
-        "lane_remove",
-        "union_with",
-        "intersect_with",
-        "andnot_with",
-    ] {
-        let body = fn_body(masked, mutator)
-            .unwrap_or_else(|| panic!("LimbPlanes mutator fn {mutator} not found"));
-        assert!(
-            body.contains("debug_check_layout"),
-            "LimbPlanes::{mutator} must re-check the W × lanes layout invariant before returning"
-        );
-    }
-}
-
-#[test]
 fn wide_set_bounded_constructors_check_confinement() {
     let masked = masked_ids_source();
     let try_full = fn_body(&masked, "try_full").expect("WideSet::try_full");

@@ -68,40 +68,6 @@ fn nondeterminism_is_scoped_to_record_paths() {
 }
 
 #[test]
-fn nondeterminism_scope_splits_the_fleet_module() {
-    // The fleet's record path (wire grammar, incremental merge) is in
-    // scope: an ambient clock there corrupts bytes. The scheduling shell
-    // (coordinator.rs and friends) is exactly where lease deadlines live,
-    // so the same `Instant` is exempt there.
-    let source = "fn deadline() -> std::time::Instant {\n    std::time::Instant::now()\n}\n";
-    let in_scope = run_fixture("crates/sim/src/fleet/proto.rs", TargetKind::Lib, source);
-    assert_eq!(
-        shape(&in_scope),
-        vec![
-            (rules::NONDETERMINISM_IN_RECORD_PATH, 1, Status::Violation),
-            (rules::NONDETERMINISM_IN_RECORD_PATH, 2, Status::Violation),
-        ],
-        "{in_scope:#?}"
-    );
-    let merge_scope = run_fixture("crates/sim/src/fleet/merge.rs", TargetKind::Lib, source);
-    assert!(
-        !merge_scope.is_empty(),
-        "merge.rs is on the record path too: {merge_scope:#?}"
-    );
-    let exempt = run_fixture(
-        "crates/sim/src/fleet/coordinator.rs",
-        TargetKind::Lib,
-        source,
-    );
-    assert!(
-        exempt
-            .iter()
-            .all(|d| d.rule != rules::NONDETERMINISM_IN_RECORD_PATH),
-        "lease deadlines may read the clock: {exempt:#?}"
-    );
-}
-
-#[test]
 fn observer_bypass_fires_at_expected_lines() {
     let diags = run_fixture(
         "crates/sim/src/fixture.rs",

@@ -866,270 +866,6 @@ impl<const W: usize, const N: usize> From<[ProcessId; N]> for WideSet<W> {
     }
 }
 
-/// Structure-of-arrays limb planes: the batched-execution layout for many
-/// [`WideSet`]s of the same width.
-///
-/// A batch of `B` sets is stored **limb-major, lane-minor**: one
-/// contiguous buffer of `W × B` words where plane `l` (the `l`-th limb of
-/// every set) occupies `buf[l·B .. (l+1)·B]`, and lane `b` of plane `l`
-/// sits at `buf[l·B + b]`. Batch-wide algebra — union, intersection,
-/// and-not, popcount — is then a single pass over the whole buffer with no
-/// per-set dispatch, which is exactly the shape LLVM auto-vectorizes (and
-/// the shape a later `std::simd` drop-in needs: swap the unrolled scalar
-/// loops in the free kernels below for `u64xN` lanes and nothing else
-/// moves).
-///
-/// The free functions ([`union_planes`](planes::union_planes),
-/// [`intersect_planes`](planes::intersect_planes),
-/// [`andnot_planes`](planes::andnot_planes),
-/// [`count_planes`](planes::count_planes),
-/// [`lane_counts`](planes::lane_counts)) are the raw kernels over
-/// `&[u64]` buffers; [`LimbPlanes`](planes::LimbPlanes) wraps a buffer
-/// with its lane count and offers per-lane [`WideSet`] views for the
-/// sparse edges of a batched computation (crash masks, per-lane tallies).
-///
-/// # Examples
-///
-/// ```
-/// use kset_sim::planes::LimbPlanes;
-/// use kset_sim::{ProcessId, ProcessSet};
-///
-/// let mut alive: LimbPlanes<8> = LimbPlanes::filled(4, ProcessSet::full(100));
-/// assert_eq!(alive.lane(2).len(), 100);
-/// // A crash in lane 2 is one and-not on one word of one plane.
-/// alive.lane_remove(2, ProcessId::new(7));
-/// assert_eq!(alive.lane(2).len(), 99);
-/// assert_eq!(alive.lane(1).len(), 100, "other lanes untouched");
-/// ```
-pub mod planes {
-    use super::{ProcessId, WideSet};
-
-    /// Unroll factor of the plane kernels: eight 64-bit words — one
-    /// `WideSet<8>` row, one AVX-512 register — per straight-line block.
-    const UNROLL: usize = 8;
-
-    /// `dst[i] |= src[i]` over whole plane buffers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffers differ in length.
-    #[inline]
-    pub fn union_planes(dst: &mut [u64], src: &[u64]) {
-        assert_eq!(dst.len(), src.len(), "plane buffers must match in length");
-        let mut d = dst.chunks_exact_mut(UNROLL);
-        let mut s = src.chunks_exact(UNROLL);
-        for (d, s) in d.by_ref().zip(s.by_ref()) {
-            for i in 0..UNROLL {
-                d[i] |= s[i];
-            }
-        }
-        for (d, s) in d.into_remainder().iter_mut().zip(s.remainder()) {
-            *d |= *s;
-        }
-    }
-
-    /// `dst[i] &= src[i]` over whole plane buffers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffers differ in length.
-    #[inline]
-    pub fn intersect_planes(dst: &mut [u64], src: &[u64]) {
-        assert_eq!(dst.len(), src.len(), "plane buffers must match in length");
-        let mut d = dst.chunks_exact_mut(UNROLL);
-        let mut s = src.chunks_exact(UNROLL);
-        for (d, s) in d.by_ref().zip(s.by_ref()) {
-            for i in 0..UNROLL {
-                d[i] &= s[i];
-            }
-        }
-        for (d, s) in d.into_remainder().iter_mut().zip(s.remainder()) {
-            *d &= *s;
-        }
-    }
-
-    /// `dst[i] &= !src[i]` over whole plane buffers — the batch-wide crash
-    /// mask: clearing a set of processes from every lane at once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffers differ in length.
-    #[inline]
-    pub fn andnot_planes(dst: &mut [u64], src: &[u64]) {
-        assert_eq!(dst.len(), src.len(), "plane buffers must match in length");
-        let mut d = dst.chunks_exact_mut(UNROLL);
-        let mut s = src.chunks_exact(UNROLL);
-        for (d, s) in d.by_ref().zip(s.by_ref()) {
-            for i in 0..UNROLL {
-                d[i] &= !s[i];
-            }
-        }
-        for (d, s) in d.into_remainder().iter_mut().zip(s.remainder()) {
-            *d &= !*s;
-        }
-    }
-
-    /// Total population count over a plane buffer.
-    #[inline]
-    pub fn count_planes(planes: &[u64]) -> u64 {
-        let mut acc = [0u64; UNROLL];
-        let mut chunks = planes.chunks_exact(UNROLL);
-        for c in chunks.by_ref() {
-            for i in 0..UNROLL {
-                acc[i] += u64::from(c[i].count_ones());
-            }
-        }
-        let mut total: u64 = acc.iter().sum();
-        for &w in chunks.remainder() {
-            total += u64::from(w.count_ones());
-        }
-        total
-    }
-
-    /// Per-lane population counts of a limb-major buffer: `out[b]` becomes
-    /// the member count of lane `b` across all planes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes == 0`, `planes.len()` is not a multiple of
-    /// `lanes`, or `out.len() != lanes`.
-    #[inline]
-    pub fn lane_counts(planes: &[u64], lanes: usize, out: &mut [u32]) {
-        assert!(lanes > 0, "a plane buffer has at least one lane");
-        assert_eq!(planes.len() % lanes, 0, "buffer length must be W × lanes");
-        assert_eq!(out.len(), lanes, "one count slot per lane");
-        out.fill(0);
-        for plane in planes.chunks_exact(lanes) {
-            for (o, &w) in out.iter_mut().zip(plane) {
-                *o += w.count_ones();
-            }
-        }
-    }
-
-    /// A batch of [`WideSet<W>`]s in limb-major, lane-minor layout (see
-    /// the [module docs](self)).
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    pub struct LimbPlanes<const W: usize> {
-        /// `W × lanes` words; plane `l` at `[l·lanes, (l+1)·lanes)`.
-        buf: Vec<u64>,
-        lanes: usize,
-    }
-
-    impl<const W: usize> LimbPlanes<W> {
-        /// `lanes` empty sets.
-        pub fn new(lanes: usize) -> Self {
-            LimbPlanes {
-                buf: vec![0; W * lanes],
-                lanes,
-            }
-        }
-
-        /// `lanes` copies of `set`.
-        pub fn filled(lanes: usize, set: WideSet<W>) -> Self {
-            let mut buf = Vec::with_capacity(W * lanes);
-            for &limb in set.limbs() {
-                buf.resize(buf.len() + lanes, limb);
-            }
-            let p = LimbPlanes { buf, lanes };
-            p.debug_check_layout();
-            p
-        }
-
-        /// Number of lanes (sets) in the batch.
-        #[inline]
-        pub fn lanes(&self) -> usize {
-            self.lanes
-        }
-
-        /// The whole limb-major buffer.
-        #[inline]
-        pub fn as_limbs(&self) -> &[u64] {
-            &self.buf
-        }
-
-        /// Gathers lane `b` into a [`WideSet`] (one strided word per
-        /// plane).
-        #[inline]
-        pub fn lane(&self, b: usize) -> WideSet<W> {
-            assert!(b < self.lanes, "lane {b} out of {} lanes", self.lanes);
-            let mut limbs = [0u64; W];
-            for (l, limb) in limbs.iter_mut().enumerate() {
-                *limb = self.buf[l * self.lanes + b];
-            }
-            WideSet::from_limbs(limbs)
-        }
-
-        /// Scatters `set` into lane `b`.
-        #[inline]
-        pub fn set_lane(&mut self, b: usize, set: WideSet<W>) {
-            assert!(b < self.lanes, "lane {b} out of {} lanes", self.lanes);
-            for (l, &limb) in set.limbs().iter().enumerate() {
-                self.buf[l * self.lanes + b] = limb;
-            }
-            self.debug_check_layout();
-        }
-
-        /// Removes `p` from lane `b` — the single-word and-not a per-lane
-        /// crash applies; returns whether `p` was present.
-        #[inline]
-        pub fn lane_remove(&mut self, b: usize, p: ProcessId) -> bool {
-            assert!(b < self.lanes, "lane {b} out of {} lanes", self.lanes);
-            let (l, bit) = (p.index() / 64, 1u64 << (p.index() % 64));
-            if l >= W {
-                return false;
-            }
-            let word = &mut self.buf[l * self.lanes + b];
-            let present = *word & bit != 0;
-            *word &= !bit;
-            self.debug_check_layout();
-            present
-        }
-
-        /// `self[b] ∪= other[b]` for every lane, as one buffer pass.
-        pub fn union_with(&mut self, other: &Self) {
-            assert_eq!(self.lanes, other.lanes, "lane counts must match");
-            union_planes(&mut self.buf, &other.buf);
-            self.debug_check_layout();
-        }
-
-        /// `self[b] ∩= other[b]` for every lane, as one buffer pass.
-        pub fn intersect_with(&mut self, other: &Self) {
-            assert_eq!(self.lanes, other.lanes, "lane counts must match");
-            intersect_planes(&mut self.buf, &other.buf);
-            self.debug_check_layout();
-        }
-
-        /// `self[b] \= other[b]` for every lane, as one buffer pass.
-        pub fn andnot_with(&mut self, other: &Self) {
-            assert_eq!(self.lanes, other.lanes, "lane counts must match");
-            andnot_planes(&mut self.buf, &other.buf);
-            self.debug_check_layout();
-        }
-
-        /// Total members across all lanes.
-        pub fn count(&self) -> u64 {
-            count_planes(&self.buf)
-        }
-
-        /// Per-lane member counts, into `out` (`out.len() == lanes`).
-        pub fn lane_counts_into(&self, out: &mut [u32]) {
-            lane_counts(&self.buf, self.lanes, out);
-        }
-
-        /// Layout invariant: the buffer holds exactly `W` planes of `lanes`
-        /// words each. Every mutator re-establishes this before returning;
-        /// a drift would silently shear the strided `lane()` gathers.
-        #[inline]
-        fn debug_check_layout(&self) {
-            debug_assert_eq!(
-                self.buf.len(),
-                W * self.lanes,
-                "LimbPlanes layout invariant violated: buffer is not W × lanes words"
-            );
-        }
-    }
-}
-
 /// A dense map from sender to `M`: `Vec<Option<M>>` keyed by
 /// [`ProcessId::index`].
 ///
@@ -1614,112 +1350,5 @@ mod tests {
         m.insert(pid(2), 22);
         assert_eq!(m.len(), 1);
         assert_eq!(m.get(pid(2)), Some(&22));
-    }
-
-    /// Mixed pseudo-random sets for plane-kernel cross-checks.
-    fn plane_fixture(lanes: usize) -> (Vec<ProcessSet>, planes::LimbPlanes<PSET_LIMBS>) {
-        let sets: Vec<ProcessSet> = (0..lanes)
-            .map(|b| {
-                (0..512usize)
-                    .filter(|&j| (b * 7 + j * 13) % 5 < 2)
-                    .map(pid)
-                    .collect()
-            })
-            .collect();
-        let mut planes = planes::LimbPlanes::new(lanes);
-        for (b, s) in sets.iter().enumerate() {
-            planes.set_lane(b, *s);
-        }
-        (sets, planes)
-    }
-
-    #[test]
-    fn plane_lane_roundtrip_and_remove() {
-        let (sets, mut planes) = plane_fixture(5);
-        for (b, s) in sets.iter().enumerate() {
-            assert_eq!(planes.lane(b), *s, "lane {b} gathers back");
-        }
-        let victim = sets[3].first().unwrap();
-        assert!(planes.lane_remove(3, victim));
-        assert!(!planes.lane_remove(3, victim), "second removal is a no-op");
-        assert_eq!(planes.lane(3), {
-            let mut s = sets[3];
-            s.remove(victim);
-            s
-        });
-        assert_eq!(planes.lane(2), sets[2], "other lanes untouched");
-        assert!(!planes.lane_remove(0, pid(PSET_LIMBS * 64 + 1)));
-    }
-
-    #[test]
-    fn plane_algebra_matches_per_set_ops() {
-        // Batch-wide kernels must agree lane-for-lane with the scalar
-        // WideSet algebra — 5 lanes exercises the non-multiple-of-UNROLL
-        // remainder path (5 × 8 = 40 words).
-        let (xs, px) = plane_fixture(5);
-        let (ys, py) = {
-            let sets: Vec<ProcessSet> = (0..5)
-                .map(|b| {
-                    (0..512usize)
-                        .filter(|&j| (b * 11 + j * 3) % 7 < 3)
-                        .map(pid)
-                        .collect()
-                })
-                .collect();
-            let mut p = planes::LimbPlanes::new(5);
-            for (b, s) in sets.iter().enumerate() {
-                p.set_lane(b, *s);
-            }
-            (sets, p)
-        };
-        let mut u = px.clone();
-        u.union_with(&py);
-        let mut i = px.clone();
-        i.intersect_with(&py);
-        let mut d = px.clone();
-        d.andnot_with(&py);
-        let mut counts = [0u32; 5];
-        px.lane_counts_into(&mut counts);
-        let mut total = 0u64;
-        for b in 0..5 {
-            assert_eq!(u.lane(b), xs[b].union(ys[b]), "union lane {b}");
-            assert_eq!(i.lane(b), xs[b].intersection(ys[b]), "intersect lane {b}");
-            assert_eq!(d.lane(b), xs[b].difference(ys[b]), "andnot lane {b}");
-            assert_eq!(counts[b] as usize, xs[b].len(), "count lane {b}");
-            total += xs[b].len() as u64;
-        }
-        assert_eq!(px.count(), total);
-    }
-
-    #[test]
-    fn plane_filled_replicates_one_set() {
-        let s: ProcessSet = [pid(0), pid(70), pid(400)].into();
-        let p = planes::LimbPlanes::<PSET_LIMBS>::filled(3, s);
-        assert_eq!(p.lanes(), 3);
-        for b in 0..3 {
-            assert_eq!(p.lane(b), s);
-        }
-        assert_eq!(p.count(), 9);
-        assert_eq!(p.as_limbs().len(), PSET_LIMBS * 3);
-    }
-
-    #[test]
-    fn raw_kernels_handle_unaligned_tails() {
-        // 11 words: one full unroll block plus a 3-word remainder.
-        let a: Vec<u64> = (0..11u64).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
-        let b: Vec<u64> = (0..11u64).map(|i| !i.wrapping_mul(0x85EB_CA6B)).collect();
-        let mut u = a.clone();
-        planes::union_planes(&mut u, &b);
-        let mut i = a.clone();
-        planes::intersect_planes(&mut i, &b);
-        let mut d = a.clone();
-        planes::andnot_planes(&mut d, &b);
-        for k in 0..11 {
-            assert_eq!(u[k], a[k] | b[k]);
-            assert_eq!(i[k], a[k] & b[k]);
-            assert_eq!(d[k], a[k] & !b[k]);
-        }
-        let expect: u64 = a.iter().map(|w| u64::from(w.count_ones())).sum();
-        assert_eq!(planes::count_planes(&a), expect);
     }
 }

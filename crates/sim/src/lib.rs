@@ -94,7 +94,6 @@ pub mod des;
 mod engine;
 pub mod explore;
 mod failure;
-pub mod fleet;
 mod ids;
 pub mod indist;
 mod message;
@@ -114,7 +113,6 @@ pub use engine::{
     Engine, RunReport, RunStatus, SimEngine, SimError, Simulation, StopReason, Violation,
 };
 pub use failure::{CrashPlan, FailurePattern, Omission};
-pub use ids::planes;
 pub use ids::{
     CapacityError, MsgId, ProcessId, ProcessSet, ProcessSetIter, SenderMap, SubsetIter, Time,
     WideSet, WideSetIter, PSET_LIMBS,

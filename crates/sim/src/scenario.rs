@@ -716,6 +716,18 @@ fn parse_csv<T>(
     })
 }
 
+/// Parses a csv of process ids into a [`ProcessSet`]. An id the set cannot
+/// hold (`>=` [`ProcessSet::CAPACITY`]) is a bad element like any other: a
+/// typed [`ScenarioParseError::BadField`], never a capacity panic.
+fn parse_pid_set(field: &'static str, token: &str) -> Result<ProcessSet, ScenarioParseError> {
+    let pids = parse_csv(field, token, |t| {
+        t.parse::<usize>()
+            .ok()
+            .filter(|&p| p < ProcessSet::CAPACITY)
+    })?;
+    Ok(pids.into_iter().map(ProcessId::new).collect())
+}
+
 impl Scenario {
     /// Renders the scenario as **one line** of the plain-text scenario
     /// table format — the citable form: an EXPERIMENTS table can name a
@@ -848,7 +860,7 @@ impl Scenario {
         let k: usize = num("k", field("k")?)?;
         let rounds: usize = num("rounds", field("rounds")?)?;
         let inputs: Vec<u64> = parse_csv("inputs", field("inputs")?, |t| t.parse().ok())?;
-        let dead: Vec<usize> = parse_csv("dead", field("dead")?, |t| t.parse().ok())?;
+        let initially_dead = parse_pid_set("dead", field("dead")?)?;
 
         let crashes_token = field("crashes")?;
         let mut crashes = Vec::new();
@@ -860,12 +872,10 @@ impl Scenario {
                 };
                 let (pid_round, receivers) = entry.split_once('>').ok_or_else(bad)?;
                 let (pid, round) = pid_round.split_once('@').ok_or_else(bad)?;
-                let receivers: Vec<usize> =
-                    parse_csv("crashes", receivers, |t| t.parse().ok()).map_err(|_| bad())?;
                 crashes.push(ScenarioCrash {
                     pid: ProcessId::new(pid.parse().map_err(|_| bad())?),
                     round: round.parse().map_err(|_| bad())?,
-                    receivers: receivers.into_iter().map(ProcessId::new).collect(),
+                    receivers: parse_pid_set("crashes", receivers).map_err(|_| bad())?,
                 });
             }
         }
@@ -893,10 +903,7 @@ impl Scenario {
                     Vec::new()
                 } else {
                     rest.split('|')
-                        .map(|b| {
-                            parse_csv("schedule", b, |t| t.parse::<usize>().ok())
-                                .map(|pids| pids.into_iter().map(ProcessId::new).collect())
-                        })
+                        .map(|b| parse_pid_set("schedule", b))
                         .collect::<Result<Vec<ProcessSet>, _>>()?
                 };
                 ScheduleFamily::Partitioned { blocks }
@@ -964,7 +971,7 @@ impl Scenario {
             k,
             inputs,
             rounds,
-            initially_dead: dead.into_iter().map(ProcessId::new).collect(),
+            initially_dead,
             crashes,
             schedule,
             detector,
@@ -1366,6 +1373,34 @@ mod tests {
                 ..
             })
         ));
+        // Process ids past the ProcessSet capacity are typed field errors,
+        // not capacity panics — in the dead list, a crash's receivers and
+        // a partition block alike.
+        for (line, field) in [
+            (
+                "scenario n 4 f 1 k 2 rounds 1 inputs 0,1,2,3 dead 600 crashes - \
+                 schedule lockstep detector none units 160",
+                "dead",
+            ),
+            (
+                "scenario n 4 f 1 k 2 rounds 1 inputs 0,1,2,3 dead - crashes 0@1>512 \
+                 schedule lockstep detector none units 160",
+                "crashes",
+            ),
+            (
+                "scenario n 5 f 1 k 1 rounds 2 inputs 0,1,2,3,4 dead - crashes - \
+                 schedule partitioned:0,1|512 detector none units 224",
+                "schedule",
+            ),
+        ] {
+            assert!(
+                matches!(
+                    Scenario::parse_line(line),
+                    Err(ScenarioParseError::BadField { field: f, .. }) if f == field
+                ),
+                "{line}"
+            );
+        }
         // Serialization restores without validating; validation is the
         // caller's separate step.
         let infeasible = Scenario::favourable(4, 1, 1).with_inputs(vec![1]);

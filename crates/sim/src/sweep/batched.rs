@@ -1,10 +1,9 @@
 //! Shape-grouped batched sweeps: run same-shape cells as one computation.
 //!
 //! A sweep grid mixes cells of many shapes — system size, scheduled round
-//! count — but a structure-of-arrays kernel (see
-//! [`planes`](crate::ids::planes)) can only fuse cells whose per-round
-//! buffers line up. [`sweep_batched`] is the generic driver for that
-//! split: it groups cells by a caller-supplied *shape key*, cuts each
+//! count — but a structure-of-arrays kernel can only fuse cells whose
+//! per-round buffers line up. [`sweep_batched`] is the generic driver for
+//! that split: it groups cells by a caller-supplied *shape key*, cuts each
 //! group into batches of at most `batch` lanes (the final batch of a
 //! group may be ragged), hands every batch to the kernel, and scatters
 //! the per-lane results back into **canonical cell order**.

@@ -24,9 +24,9 @@
 //! * [`ShardSpec`] ([`shard`]) — deterministic, validated cell→shard
 //!   assignment as contiguous ranges over the emitted index space; cell
 //!   indices and seeds are globally stable regardless of shard count.
-//! * [`sweep_streaming`] / [`sweep_streaming_ordered`] ([`stream`]) —
-//!   bounded-memory runners delivering `(index, result)` to a sink as
-//!   cells complete, instead of materializing the grid.
+//! * [`sweep_streaming_ordered`] ([`stream`]) — the bounded-memory
+//!   runner delivering `(index, result)` to a sink in cell order as cells
+//!   complete, instead of materializing the grid.
 //! * [`CellRecord`] / [`ShardFile`] / [`merge`] ([`record`]) — the
 //!   plain-text per-shard result format and its coverage-checked merge,
 //!   whose output is byte-identical to a sequential sweep's.
@@ -59,11 +59,11 @@ pub mod stream;
 
 pub use batched::sweep_batched;
 pub use record::{
-    merge, CellLineError, CellRecord, FormatVersion, MergeError, Observation, ParseError,
-    PartialShardFile, ShardFile, SweepHeader,
+    merge, CellLineError, CellRecord, MergeError, Observation, ParseError, PartialShardFile,
+    ShardFile, SweepHeader,
 };
 pub use shard::{ShardError, ShardSpec};
-pub use stream::{sweep_streaming, sweep_streaming_ordered, StreamError};
+pub use stream::{sweep_streaming_ordered, StreamError};
 
 /// One cell of an `(n, f, k)` scale grid, with its deterministic seed.
 ///

@@ -1,13 +1,13 @@
-//! The plain-text shard result format (v1 and v2) and its coverage-checked
-//! merge.
+//! The plain-text shard result format (`kset-sweep v2`) and its
+//! coverage-checked merge.
 //!
 //! Each shard of a sharded sweep writes a **self-describing, line-oriented
 //! text file** (the workspace vendors no serde): a three-line header naming
 //! the grid, its seed, its axes, the total cell count and the shard spec;
 //! one `cell` line per swept cell carrying the cell's global index, its
-//! `(n, f, k)` point, its [`cell_seed`], a decision digest and — from
-//! format v2 — an optional typed [`Observation`] payload; and an
-//! `end <count>` footer so truncated files are detectable.
+//! `(n, f, k)` point, its [`cell_seed`], a decision digest and an
+//! optional typed [`Observation`] payload; and an `end <count>` footer so
+//! truncated files are detectable.
 //!
 //! ```text
 //! kset-sweep v2
@@ -19,13 +19,8 @@
 //! end 3
 //! ```
 //!
-//! **v1 compatibility.** v1 files (magic `kset-sweep v1`, no `obs` tails)
-//! still parse — through the *same* parser, with identical semantics; the
-//! parsed [`SweepHeader`] simply carries [`FormatVersion::V1`]. An `obs`
-//! tail inside a v1 file is a typed error, never silently ignored.
-//!
-//! **Partial files.** A v2 file whose cell lines stop before the footer is
-//! no longer garbage: [`PartialShardFile::parse`] accepts any prefix that
+//! **Partial files.** A file whose cell lines stop before the footer is
+//! still a valid artifact: [`PartialShardFile::parse`] accepts any prefix that
 //! extends past the three header lines (a torn final line — a write cut
 //! mid-line by a crash — is tolerated when nothing follows it; a cut
 //! *inside* the header leaves nothing to resume and stays a typed error)
@@ -45,48 +40,18 @@
 //! exactly once — before returning the canonical single-shard
 //! ([`ShardSpec::FULL`]) file, whose rendering is byte-identical to what a
 //! sequential single-process sweep of the full grid writes. That byte
-//! identity is the CI conformance gate, and it holds for v2 files with
-//! observation payloads exactly as it did for v1 digests.
+//! identity, observation payloads included, is the CI conformance gate.
 
 use std::fmt;
 
 use super::{cell_seed, GridCell, ShardError, ShardSpec};
 use crate::observe::EventCounts;
 
-/// The first line of every v1 shard file.
-pub const FORMAT_MAGIC: &str = "kset-sweep v1";
+/// The first line of every shard file. The catalog digests cover it, so
+/// it stays `v2` byte for byte.
+pub const FORMAT_MAGIC: &str = "kset-sweep v2";
 
-/// The first line of every v2 shard file (typed observations, partial
-/// files).
-pub const FORMAT_MAGIC_V2: &str = "kset-sweep v2";
-
-/// The shard-file format revision, carried by [`SweepHeader`] and decided
-/// by the magic line.
-///
-/// v2 extends v1 in two ways: `cell` lines may carry a typed
-/// [`Observation`] payload, and a file cut short mid-sweep is a valid
-/// *partial* artifact ([`PartialShardFile`]) naming exactly the cells
-/// still owed. Everything else — header grammar, index walking, seed
-/// re-derivation, footer — is shared, and v1 files parse unchanged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FormatVersion {
-    /// `kset-sweep v1`: digest-only records, complete files only.
-    V1,
-    /// `kset-sweep v2`: optional typed observations, resumable partials.
-    V2,
-}
-
-impl FormatVersion {
-    /// The magic line of this version.
-    pub const fn magic(self) -> &'static str {
-        match self {
-            FormatVersion::V1 => FORMAT_MAGIC,
-            FormatVersion::V2 => FORMAT_MAGIC_V2,
-        }
-    }
-}
-
-/// A typed, plain-text observation payload attached to a v2 cell record —
+/// A typed, plain-text observation payload attached to a cell record —
 /// what the cell's run *looked like*, not just a digest of it.
 ///
 /// Three shapes, one per observation style the workspace produces:
@@ -199,8 +164,8 @@ impl Observation {
     }
 }
 
-/// One swept cell: its grid coordinates, the digest of its outcome, and —
-/// in v2 files — an optional typed [`Observation`].
+/// One swept cell: its grid coordinates, the digest of its outcome, and
+/// an optional typed [`Observation`].
 ///
 /// `digest` is whatever 64-bit summary the sweep worker produced (the
 /// experiments binary uses the release-stable
@@ -224,8 +189,8 @@ pub struct CellRecord {
     pub seed: u64,
     /// 64-bit digest of the cell's decision outcome.
     pub digest: u64,
-    /// Typed observation payload (v2 files only; `None` in v1 files and
-    /// for cells swept without an observer).
+    /// Typed observation payload (`None` for cells swept without an
+    /// observer).
     pub obs: Option<Observation>,
 }
 
@@ -263,15 +228,12 @@ impl CellRecord {
         line
     }
 
-    /// Parses one `cell` line (the inverse of [`CellRecord::render_line`])
-    /// under the grammar of `version` — the single-record entry point the
-    /// fleet protocol shares with the file parser, so a record on the wire
-    /// and a record in a shard file can never drift apart.
+    /// Parses one `cell` line (the inverse of [`CellRecord::render_line`]).
     ///
     /// This validates the *line* only; contextual checks (index walking,
     /// seed re-derivation) belong to the caller, exactly as in
     /// [`ShardFile::parse`].
-    pub fn parse_line(line: &str, version: FormatVersion) -> Result<CellRecord, CellLineError> {
+    pub fn parse_line(line: &str) -> Result<CellRecord, CellLineError> {
         let t: Vec<&str> = line.split_whitespace().collect();
         let ["cell", index, "n", n, "f", f, "k", k, "seed", seed, "digest", digest, ref obs_tokens @ ..] =
             t[..]
@@ -280,9 +242,6 @@ impl CellRecord {
         };
         let obs = match obs_tokens {
             [] => None,
-            ["obs", ..] if version == FormatVersion::V1 => {
-                return Err(CellLineError::ObservationInV1);
-            }
             ["obs", rest @ ..] => {
                 Some(Observation::parse_tokens(rest).ok_or(CellLineError::Malformed)?)
             }
@@ -305,18 +264,12 @@ impl CellRecord {
 pub enum CellLineError {
     /// The line does not match the `cell` token grammar.
     Malformed,
-    /// The line carries an `obs` tail under the v1 grammar, which has no
-    /// observation syntax.
-    ObservationInV1,
 }
 
 impl fmt::Display for CellLineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CellLineError::Malformed => write!(f, "malformed cell line"),
-            CellLineError::ObservationInV1 => {
-                write!(f, "a {FORMAT_MAGIC:?} record cannot carry an obs tail")
-            }
         }
     }
 }
@@ -326,8 +279,6 @@ impl std::error::Error for CellLineError {}
 /// The self-describing header of a shard file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepHeader {
-    /// The format revision (decided by the magic line on parse).
-    pub version: FormatVersion,
     /// Name of the grid (one whitespace-free token, e.g. `border`).
     pub grid: String,
     /// The grid seed every cell seed derives from.
@@ -342,10 +293,8 @@ pub struct SweepHeader {
 }
 
 impl SweepHeader {
-    /// Builds a header for the current writer format
-    /// ([`FormatVersion::V2`]), validating that `grid` and `axes` are
-    /// single non-empty whitespace-free tokens (the format is
-    /// token-delimited). Use [`SweepHeader::with_version`] to target v1.
+    /// Builds a header, validating that `grid` and `axes` are single
+    /// non-empty whitespace-free tokens (the format is token-delimited).
     ///
     /// # Panics
     ///
@@ -366,21 +315,12 @@ impl SweepHeader {
             );
         }
         SweepHeader {
-            version: FormatVersion::V2,
             grid,
             grid_seed,
             axes,
             total,
             shard,
         }
-    }
-
-    /// Retargets the header to another format version. Returns `self` for
-    /// chaining.
-    #[must_use]
-    pub fn with_version(mut self, version: FormatVersion) -> Self {
-        self.version = version;
-        self
     }
 
     /// The contiguous range of global cell indices this shard owns.
@@ -393,7 +333,7 @@ impl SweepHeader {
         let r = self.range();
         format!(
             "{}\ngrid {} seed {} axes {} cells {}\nshard {} range {}..{}\n",
-            self.version.magic(),
+            FORMAT_MAGIC,
             self.grid,
             self.grid_seed,
             self.axes,
@@ -405,12 +345,9 @@ impl SweepHeader {
     }
 
     /// The header this file must agree with to merge with `other`:
-    /// everything except the shard index (format versions may not mix —
-    /// the merged rendering must be byte-deterministic, and a v1/v2 mix
-    /// has no single faithful rendering).
-    fn merge_key(&self) -> (FormatVersion, &str, u64, &str, usize, usize) {
+    /// everything except the shard index.
+    fn merge_key(&self) -> (&str, u64, &str, usize, usize) {
         (
-            self.version,
             &self.grid,
             self.grid_seed,
             &self.axes,
@@ -438,19 +375,7 @@ pub struct ShardFile {
 
 impl ShardFile {
     /// Renders the complete file: header, one line per record, footer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a v1 header is paired with observation-carrying records —
-    /// v1 has no observation grammar, so that file could never re-parse;
-    /// a writer producing it is buggy.
     pub fn render(&self) -> String {
-        if self.header.version == FormatVersion::V1 {
-            assert!(
-                self.records.iter().all(|r| r.obs.is_none()),
-                "v1 files cannot carry observations"
-            );
-        }
         let mut out = self.header.render();
         for record in &self.records {
             out.push_str(&record.render_line());
@@ -460,18 +385,16 @@ impl ShardFile {
         out
     }
 
-    /// Parses and validates a **complete** shard file, v1 or v2 (the magic
-    /// line decides; the parsed header records the version).
+    /// Parses and validates a **complete** shard file.
     ///
     /// Beyond the grammar, this checks every property re-derivable from
     /// the header alone: the declared range is the shard's
     /// [`range`](SweepHeader::range), record indices walk that range
     /// exactly (duplicates, gaps, reorderings and foreign indices all
     /// surface as [`ParseError::UnexpectedIndex`]), seeds re-derive via
-    /// [`cell_seed`], observation tails appear only in v2 files
-    /// ([`ParseError::ObservationInV1`]), the footer count matches, and
-    /// nothing follows the footer. A file that parses is a complete,
-    /// internally consistent shard; for the prefix of one, see
+    /// [`cell_seed`], observation tails are well-formed, the footer count
+    /// matches, and nothing follows the footer. A file that parses is a
+    /// complete, internally consistent shard; for the prefix of one, see
     /// [`PartialShardFile::parse`].
     pub fn parse(text: &str) -> Result<Self, ParseError> {
         let partial = PartialShardFile::parse_inner(text, false)?;
@@ -483,7 +406,7 @@ impl ShardFile {
     }
 }
 
-/// A validated **prefix** of a v2 shard file: everything swept before the
+/// A validated **prefix** of a shard file: everything swept before the
 /// writer stopped — crash, kill, or clean completion — plus the derived
 /// set of cells still owed.
 ///
@@ -501,8 +424,8 @@ pub struct PartialShardFile {
 }
 
 impl PartialShardFile {
-    /// Parses a possibly-incomplete v2 shard file (complete v1/v2 files
-    /// also parse, as the degenerate partial with nothing owed).
+    /// Parses a possibly-incomplete shard file (complete files also
+    /// parse, as the degenerate partial with nothing owed).
     ///
     /// The prefix must extend past the three header lines — a file cut
     /// inside the header identifies no grid, no shard and no owed set,
@@ -522,8 +445,7 @@ impl PartialShardFile {
     /// [`ShardFile::parse`]: prefix indices walk the range from its
     /// start, seeds re-derive, observations are well-formed. A malformed
     /// line *followed by more input* is corruption, not truncation, and
-    /// stays a typed error — as does a truncated **v1** file, which never
-    /// promised resumability ([`ParseError::Truncated`]).
+    /// stays a typed error.
     pub fn parse(text: &str) -> Result<Self, ParseError> {
         Self::parse_inner(text, true)
     }
@@ -570,19 +492,12 @@ impl PartialShardFile {
         };
 
         let (no, magic) = next_line("format magic")?;
-        let version = match magic {
-            m if m == FORMAT_MAGIC => FormatVersion::V1,
-            m if m == FORMAT_MAGIC_V2 => FormatVersion::V2,
-            _ => {
-                return Err(ParseError::BadMagic {
-                    line: no,
-                    found: magic.to_string(),
-                });
-            }
-        };
-        // Partial reading applies to v2 only; a cut-short v1 file keeps
-        // erroring exactly as before this format revision.
-        let allow_partial = allow_partial && version == FormatVersion::V2;
+        if magic != FORMAT_MAGIC {
+            return Err(ParseError::BadMagic {
+                line: no,
+                found: magic.to_string(),
+            });
+        }
 
         let (no, grid_line) = next_line("grid header")?;
         let t: Vec<&str> = grid_line.split_whitespace().collect();
@@ -612,7 +527,7 @@ impl PartialShardFile {
             .split_once("..")
             .and_then(|(s, e)| Some((s.parse::<usize>().ok()?, e.parse::<usize>().ok()?)))
             .ok_or_else(|| ParseError::bad_line(no, shard_line))?;
-        let header = SweepHeader::new(grid, grid_seed, axes, total, shard).with_version(version);
+        let header = SweepHeader::new(grid, grid_seed, axes, total, shard);
         let expected = header.range();
         if (start, end) != (expected.start, expected.end) {
             return Err(ParseError::RangeMismatch {
@@ -656,10 +571,8 @@ impl PartialShardFile {
                         .map_err(|_| ParseError::bad_line(no, line))?;
                 }
                 ["cell", ..] => {
-                    let record = CellRecord::parse_line(line, version).map_err(|e| match e {
-                        CellLineError::Malformed => ParseError::bad_line(no, line),
-                        CellLineError::ObservationInV1 => ParseError::ObservationInV1 { line: no },
-                    })?;
+                    let record =
+                        CellRecord::parse_line(line).map_err(|_| ParseError::bad_line(no, line))?;
                     match walk.next() {
                         Some(expect) if expect == record.index => {}
                         expect => {
@@ -762,13 +675,6 @@ pub enum ParseError {
         /// The records actually present.
         actual: usize,
     },
-    /// A v1 file carries an `obs` observation tail — v1 has no
-    /// observation grammar, so the tail is a version lie, not extra data
-    /// to skip.
-    ObservationInV1 {
-        /// 1-based line number of the offending record.
-        line: usize,
-    },
 }
 
 impl ParseError {
@@ -819,13 +725,6 @@ impl fmt::Display for ParseError {
             ),
             ParseError::CountMismatch { declared, actual } => {
                 write!(f, "footer declares {declared} records, file has {actual}")
-            }
-            ParseError::ObservationInV1 { line } => {
-                write!(
-                    f,
-                    "line {line}: a {FORMAT_MAGIC:?} file cannot carry an obs tail \
-                     (observations are {FORMAT_MAGIC_V2:?})"
-                )
             }
         }
     }
@@ -1238,10 +1137,10 @@ mod tests {
         );
     }
 
-    /// The v2 sibling of `shard_file`: every third cell carries a counts
-    /// observation, every fifth a distinct-set, to exercise the obs
-    /// grammar.
-    fn shard_file_v2(grid: &str, grid_seed: u64, total: usize, spec: ShardSpec) -> ShardFile {
+    /// The observation-carrying sibling of `shard_file`: cells cycle
+    /// through counts, distinct, decisions, empty-distinct and no
+    /// observation, to exercise the obs grammar.
+    fn shard_file_with_obs(grid: &str, grid_seed: u64, total: usize, spec: ShardSpec) -> ShardFile {
         let mut file = shard_file(grid, grid_seed, total, spec);
         for record in &mut file.records {
             record.obs = match record.index % 5 {
@@ -1272,8 +1171,7 @@ mod tests {
     #[test]
     fn v2_round_trip_with_observations_is_identity() {
         for (index, count) in [(0, 1), (0, 3), (1, 3), (2, 3)] {
-            let file = shard_file_v2("demo", 42, 10, ShardSpec::new(index, count).unwrap());
-            assert_eq!(file.header.version, FormatVersion::V2);
+            let file = shard_file_with_obs("demo", 42, 10, ShardSpec::new(index, count).unwrap());
             let parsed = ShardFile::parse(&file.render()).expect("rendered v2 files parse");
             assert_eq!(parsed, file);
             assert_eq!(parsed.render(), file.render());
@@ -1281,54 +1179,8 @@ mod tests {
     }
 
     #[test]
-    fn v1_files_parse_with_identical_semantics() {
-        let v2 = shard_file("demo", 42, 10, ShardSpec::FULL);
-        let v1 = ShardFile {
-            header: v2.header.clone().with_version(FormatVersion::V1),
-            records: v2.records.clone(),
-        };
-        let parsed = ShardFile::parse(&v1.render()).expect("v1 files still parse");
-        assert_eq!(parsed.header.version, FormatVersion::V1);
-        assert_eq!(parsed.records, v2.records, "same records, either magic");
-        assert_eq!(parsed.render(), v1.render());
-    }
-
-    #[test]
-    fn v1_rejects_observation_tails() {
-        let mut file = shard_file("demo", 42, 4, ShardSpec::FULL);
-        file.records[2].obs = Some(Observation::distinct([1, 2]));
-        let text = ShardFile {
-            header: file.header.clone().with_version(FormatVersion::V1),
-            records: file.records.clone(),
-        };
-        // Rendering such a file is a writer bug …
-        let rendered = std::panic::catch_unwind(|| text.render());
-        assert!(rendered.is_err(), "v1 render with obs must panic");
-        // … and parsing one (hand-forged) is a typed error.
-        let forged = shard_file("demo", 42, 4, ShardSpec::FULL)
-            .render()
-            .replace(FORMAT_MAGIC_V2, FORMAT_MAGIC)
-            .lines()
-            .enumerate()
-            .map(|(i, l)| {
-                if i == 4 {
-                    format!("{l} obs distinct 1,2")
-                } else {
-                    l.to_string()
-                }
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
-            + "\n";
-        assert_eq!(
-            ShardFile::parse(&forged),
-            Err(ParseError::ObservationInV1 { line: 5 })
-        );
-    }
-
-    #[test]
     fn malformed_observation_tails_are_rejected() {
-        let good = shard_file_v2("demo", 42, 10, ShardSpec::FULL).render();
+        let good = shard_file_with_obs("demo", 42, 10, ShardSpec::FULL).render();
         for (from, to) in [
             ("obs distinct 1,2", "obs distinct 2,1"),  // not ascending
             ("obs distinct 1,2", "obs distinct 1,,2"), // empty token
@@ -1346,7 +1198,7 @@ mod tests {
 
     #[test]
     fn partial_parse_accepts_any_clean_prefix_and_names_owed_cells() {
-        let file = shard_file_v2("demo", 42, 10, ShardSpec::new(1, 3).unwrap());
+        let file = shard_file_with_obs("demo", 42, 10, ShardSpec::new(1, 3).unwrap());
         let full = file.render();
         let range = file.header.range(); // 4..7
         for kept in 0..range.len() {
@@ -1386,7 +1238,7 @@ mod tests {
 
     #[test]
     fn partial_parse_drops_torn_final_lines() {
-        let file = shard_file_v2("demo", 42, 10, ShardSpec::FULL);
+        let file = shard_file_with_obs("demo", 42, 10, ShardSpec::FULL);
         let full = file.render();
         // Cut mid-way through the third cell line — including cuts that
         // leave a grammatically parseable (but value-truncated) digest.
@@ -1409,7 +1261,7 @@ mod tests {
         // A file cut inside its 3-line header identifies no grid and no
         // owed set — nothing to resume, so every header cut is a typed
         // error, not an empty partial.
-        let full = shard_file_v2("demo", 42, 10, ShardSpec::FULL).render();
+        let full = shard_file_with_obs("demo", 42, 10, ShardSpec::FULL).render();
         let header_end: usize = full.lines().take(3).map(|l| l.len() + 1).sum();
         // (Cutting exactly the header's final newline is the one benign
         // header cut: the shard line is complete and must re-derive the
@@ -1433,7 +1285,7 @@ mod tests {
 
     #[test]
     fn partial_parse_still_rejects_mid_file_corruption() {
-        let file = shard_file_v2("demo", 42, 10, ShardSpec::FULL);
+        let file = shard_file_with_obs("demo", 42, 10, ShardSpec::FULL);
         let full = file.render();
         // A malformed line *followed by more input* is corruption.
         let corrupt = full.replacen("digest", "digset", 1);
@@ -1454,50 +1306,13 @@ mod tests {
             PartialShardFile::parse(&lying),
             Err(ParseError::CountMismatch { .. })
         ));
-        // Truncated v1 files never became resumable.
-        let v1 = ShardFile {
-            header: file.header.clone().with_version(FormatVersion::V1),
-            records: file
-                .records
-                .iter()
-                .map(|r| CellRecord {
-                    obs: None,
-                    ..r.clone()
-                })
-                .collect(),
-        };
-        let v1_text = v1.render();
-        let v1_prefix: String = v1_text.lines().take(5).fold(String::new(), |mut acc, l| {
-            acc.push_str(l);
-            acc.push('\n');
-            acc
-        });
-        assert!(matches!(
-            PartialShardFile::parse(&v1_prefix),
-            Err(ParseError::Truncated { .. })
-        ));
-    }
-
-    #[test]
-    fn merge_rejects_mixed_format_versions() {
-        let a = shard_file("demo", 42, 10, ShardSpec::new(0, 2).unwrap());
-        let b = shard_file("demo", 42, 10, ShardSpec::new(1, 2).unwrap());
-        let b_v1 = ShardFile {
-            header: b.header.clone().with_version(FormatVersion::V1),
-            records: b.records.clone(),
-        };
-        assert!(matches!(
-            merge(&[a.clone(), b_v1]),
-            Err(MergeError::GridMismatch { .. })
-        ));
-        assert!(merge(&[a, b]).is_ok());
     }
 
     #[test]
     fn merged_v2_render_with_observations_is_byte_identical_to_sequential() {
-        let seq = shard_file_v2("demo", 7, 23, ShardSpec::FULL).render();
+        let seq = shard_file_with_obs("demo", 7, 23, ShardSpec::FULL).render();
         let shards: Vec<ShardFile> = (0..3)
-            .map(|i| shard_file_v2("demo", 7, 23, ShardSpec::new(i, 3).unwrap()))
+            .map(|i| shard_file_with_obs("demo", 7, 23, ShardSpec::new(i, 3).unwrap()))
             .collect();
         assert_eq!(merge(&shards).unwrap().render(), seq);
     }
