@@ -458,11 +458,13 @@ fn bench_observe(c: &mut Criterion) {
 /// The batched lock-step gate: 16 same-shape scale cells (f = 3, k = 1,
 /// so 4 scheduled rounds) swept one-at-a-time through the scalar
 /// [`SweepGrid::record`](kset_bench::sweeps::SweepGrid::record) path vs
-/// fused through the structure-of-arrays kernel
-/// ([`record_batch`](kset_bench::sweeps::SweepGrid::record_batch)). Both
-/// paths produce identical `CellRecord`s (the library and CI byte-identity
-/// gates pin that); this group pins the throughput ratio — the acceptance
-/// bar is ≥ 3× at B = 16 for n ≥ 256.
+/// through the structure-of-arrays kernel
+/// ([`record_batch`](kset_bench::sweeps::SweepGrid::record_batch)) one
+/// lane at a time (B = 1) and fused (B = 16). All three produce identical
+/// `CellRecord`s (the library and CI byte-identity gates pin that); this
+/// group splits the throughput ratio into kernel specialization (scalar
+/// vs B = 1) and batching (B = 1 vs B = 16) — the acceptance bar is ≥ 3×
+/// for the kernel at B = 16 over the scalar path, for n ≥ 256.
 ///
 /// The cells are synthetic (the catalog grid never repeats an `(n, f, k)`
 /// point, so its largest same-shape group is 3 cells): 16 lanes per n,
@@ -490,6 +492,15 @@ fn bench_batched(c: &mut Criterion) {
             b.iter(|| {
                 let records: Vec<_> = cells.iter().map(|cell| grid.record(cell)).collect();
                 black_box(records.len())
+            });
+        });
+        group.bench_function(BenchmarkId::new("batched_1", n), |b| {
+            b.iter(|| {
+                let records: usize = refs
+                    .iter()
+                    .map(|&cell| grid.record_batch(&[cell]).len())
+                    .sum();
+                black_box(records)
             });
         });
         group.bench_function(BenchmarkId::new("batched_16", n), |b| {

@@ -16,10 +16,11 @@
 //! step-level simulator. [`run_sync`] is the traditional one-shot form, now
 //! a thin wrapper over `LockStep`.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 use kset_sim::observe::{
-    CrashEvent, DecideEvent, DeliverEvent, NoObserver, Observer, RoundEvent, SendEvent,
+    BroadcastEvent, CrashEvent, DecideEvent, InboxEvent, NoObserver, Observer, RoundEvent,
 };
 use kset_sim::{CapacityError, Engine, ProcessId, ProcessSet, SenderMap, Time};
 
@@ -229,18 +230,24 @@ impl<P: RoundProcess> LockStep<P> {
 
     /// Executes one full round, reporting the round's typed events to
     /// `obs` — per the round-substrate contract of [`kset_sim::observe`]:
-    /// one [`SendEvent`] per `(sender, receiver)` pair of the send phase
-    /// (a crashing sender's omitted deliveries appear as `dropped` sends,
-    /// so *transmitted* counts agree with the step substrate), a
-    /// [`CrashEvent`] per mid-round crash, then per alive receiver one
-    /// [`DeliverEvent`] per consumed inbox entry and a [`DecideEvent`]
-    /// when the receive phase first produced a decision, closed by one
-    /// [`RoundEvent`].
+    /// one [`BroadcastEvent`] per alive sender (a crashing sender's
+    /// `reached` is its receivers within `0..n`, so the omitted deliveries
+    /// expand to `dropped` sends and *transmitted* counts agree with the
+    /// step substrate), a [`CrashEvent`] after each mid-round crasher's
+    /// broadcast, then per alive receiver one [`InboxEvent`] and a
+    /// [`DecideEvent`] when the receive phase first produced a decision,
+    /// closed by one [`RoundEvent`].
+    ///
+    /// Every round message is a broadcast, so each is stored once, in one
+    /// shared round map. A receiver that every crasher of the round reached
+    /// reads that map; any other reads a copy without the crashers that
+    /// missed it, one copy per distinct missed set — `c` crashers cost at
+    /// most `min(n, 2^c)` copies.
     ///
     /// The round substrate tracks no message ids and does not fingerprint
     /// payloads (round messages need not be hashable), so the id and
-    /// fingerprint fields of its send/deliver events are `None`. `time` on
-    /// every event is the 1-based round number.
+    /// fingerprint fields of the expanded send/deliver events are `None`.
+    /// `time` on every event is the 1-based round number.
     ///
     /// The unobserved [`LockStep::advance`] is this method with a
     /// [`NoObserver`], monomorphized away.
@@ -251,69 +258,73 @@ impl<P: RoundProcess> LockStep<P> {
         let n = self.procs.len();
         let round = self.round + 1;
         let time = Time::new(round as u64);
-        // Send phase: every alive process emits its round message; crashing
-        // processes deliver to their chosen subset only.
-        let mut inboxes: Vec<SenderMap<P::Msg>> =
-            (0..n).map(|_| SenderMap::with_capacity(n)).collect();
-        for (i, p) in self.procs.iter().enumerate() {
-            let pid = ProcessId::new(i);
-            if self.crashed.contains(pid) {
-                continue;
-            }
-            let msg = p.message(round);
+        // kset-lint: allow(unchecked-capacity): try_new already rejected n > ProcessSet::CAPACITY
+        let everyone = ProcessSet::full(n);
+        let alive = everyone - self.crashed;
+        // Send phase: every alive process broadcasts its round message into
+        // the shared map; crashing processes reach their chosen subset only.
+        let mut shared = SenderMap::with_capacity(n);
+        let mut crashers: Vec<(ProcessId, ProcessSet)> = Vec::new();
+        for src in alive {
+            shared.insert(src, self.procs[src.index()].message(round));
             let crash_now = self
                 .crashes
                 .iter()
-                .find(|c| c.pid == pid && c.round == round);
-            for dst in ProcessId::all(n) {
-                let delivered = match crash_now {
-                    Some(c) => c.receivers.contains(dst),
-                    None => true,
-                };
-                if delivered {
-                    inboxes[dst.index()].insert(pid, msg.clone());
-                }
-                obs.on_send(&SendEvent {
-                    time,
-                    src: pid,
-                    dst,
-                    id: None,
-                    payload_fp: None,
-                    dropped: !delivered,
-                });
-            }
+                .find(|c| c.pid == src && c.round == round);
+            let reached = crash_now.map_or(everyone, |c| c.receivers & everyone);
+            obs.on_broadcast(&BroadcastEvent {
+                time,
+                src,
+                n,
+                reached,
+            });
             if crash_now.is_some() {
-                self.crashed.insert(pid);
+                crashers.push((src, reached));
+                self.crashed.insert(src);
                 obs.on_crash(&CrashEvent {
                     time,
-                    pid,
+                    pid: src,
                     after_step: true,
                 });
             }
         }
-        // Receive phase: every alive process consumes its round inbox.
+        // Receive phase: every alive process consumes its round inbox —
+        // the shared map, or the copy without the crashers it missed.
+        let mut copies: BTreeMap<ProcessSet, SenderMap<P::Msg>> = BTreeMap::new();
         let mut delivered_total = 0usize;
-        for (i, p) in self.procs.iter_mut().enumerate() {
-            let pid = ProcessId::new(i);
-            if self.crashed.contains(pid) {
-                continue;
-            }
-            let inbox = &inboxes[i];
+        for dst in everyone - self.crashed {
+            let missed: ProcessSet = crashers
+                .iter()
+                .filter(|(_, reached)| !reached.contains(dst))
+                .map(|&(pid, _)| pid)
+                .collect();
+            let inbox = if missed.is_empty() {
+                &shared
+            } else {
+                copies.entry(missed).or_insert_with(|| {
+                    let mut copy = shared.clone();
+                    for pid in missed {
+                        copy.remove(pid);
+                    }
+                    copy
+                })
+            };
+            let p = &mut self.procs[dst.index()];
             let had_decided = p.decision().is_some();
             p.receive(round, inbox);
             delivered_total += inbox.len();
-            for (src, _) in inbox.iter() {
-                obs.on_deliver(&DeliverEvent {
-                    time,
-                    src,
-                    dst: pid,
-                    id: None,
-                    payload_fp: None,
-                });
-            }
+            obs.on_inbox(&InboxEvent {
+                time,
+                dst,
+                senders: alive - missed,
+            });
             if !had_decided {
                 if let Some(value) = p.decision() {
-                    obs.on_decide(&DecideEvent { time, pid, value });
+                    obs.on_decide(&DecideEvent {
+                        time,
+                        pid: dst,
+                        value,
+                    });
                 }
             }
         }
@@ -402,6 +413,7 @@ pub fn run_sync<P: RoundProcess>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kset_sim::observe::{DeliverEvent, HaltEvent, SendEvent};
     use kset_sim::StopReason;
 
     /// Trivial echo: decides the number of senders heard in round 1.
@@ -579,6 +591,162 @@ mod tests {
         );
         assert_eq!(engine.outcome().decisions, plain.decisions);
         assert_eq!(status.stop, StopReason::AllCorrectDecided);
+    }
+
+    /// One observed event, as the per-pair observer methods see it.
+    #[derive(Debug, PartialEq, Eq)]
+    enum Ev {
+        /// `(src, dst, dropped)`.
+        Send(usize, usize, bool),
+        /// `(src, dst)`.
+        Deliver(usize, usize),
+        Crash(usize),
+        /// `(pid, value)`.
+        Decide(usize, Val),
+        Round(usize),
+        Halt,
+    }
+
+    /// Logs the per-pair stream: it overrides only the per-pair methods,
+    /// so the round's bulk events reach it default-expanded.
+    #[derive(Debug, Default)]
+    struct PairLog(Vec<Ev>);
+
+    impl Observer<Val> for PairLog {
+        fn on_send(&mut self, e: &SendEvent) {
+            self.0
+                .push(Ev::Send(e.src.index(), e.dst.index(), e.dropped));
+        }
+        fn on_deliver(&mut self, e: &DeliverEvent) {
+            self.0.push(Ev::Deliver(e.src.index(), e.dst.index()));
+        }
+        fn on_crash(&mut self, e: &CrashEvent) {
+            self.0.push(Ev::Crash(e.pid.index()));
+        }
+        fn on_decide(&mut self, e: &DecideEvent<Val>) {
+            self.0.push(Ev::Decide(e.pid.index(), e.value));
+        }
+        fn on_round(&mut self, e: &RoundEvent) {
+            self.0.push(Ev::Round(e.round));
+        }
+        fn on_halt(&mut self, _e: &HaltEvent) {
+            self.0.push(Ev::Halt);
+        }
+    }
+
+    #[test]
+    fn round_events_expand_to_the_pinned_per_pair_stream() {
+        use Ev::*;
+
+        // 3 processes, 2 rounds; p2 crashes in round 1 reaching only p1.
+        let crash = RoundCrash {
+            round: 1,
+            pid: ProcessId::new(1),
+            receivers: [ProcessId::new(0)].into(),
+        };
+        let mut engine = LockStep::new(vec![CountRound1 { heard: None }; 3], 2, &[crash]);
+        let mut log = PairLog::default();
+        engine.drive_observed(u64::MAX, &mut log);
+        #[rustfmt::skip]
+        let expected = vec![
+            // Round 1, send phase: senders ascending, destinations
+            // ascending, the crash right after the crasher's sends.
+            Send(0, 0, false), Send(0, 1, false), Send(0, 2, false),
+            Send(1, 0, false), Send(1, 1, true), Send(1, 2, true),
+            Crash(1),
+            Send(2, 0, false), Send(2, 1, false), Send(2, 2, false),
+            // Receive phase: alive receivers ascending, each inbox in
+            // sender order, then the receiver's first decision.
+            Deliver(0, 0), Deliver(1, 0), Deliver(2, 0),
+            Decide(0, 3),
+            Deliver(0, 2), Deliver(2, 2),
+            Decide(2, 2),
+            Round(1),
+            // Round 2: the crasher is silent; no new decisions.
+            Send(0, 0, false), Send(0, 1, false), Send(0, 2, false),
+            Send(2, 0, false), Send(2, 1, false), Send(2, 2, false),
+            Deliver(0, 0), Deliver(2, 0),
+            Deliver(0, 2), Deliver(2, 2),
+            Round(2),
+            Halt,
+        ];
+        assert_eq!(log.0, expected);
+    }
+
+    /// An [`EventCounter`] reached only through the per-pair methods.
+    #[derive(Debug, Default)]
+    struct PerPairCounter(kset_sim::observe::EventCounter<Val>);
+
+    impl Observer<Val> for PerPairCounter {
+        fn on_send(&mut self, e: &SendEvent) {
+            self.0.on_send(e);
+        }
+        fn on_deliver(&mut self, e: &DeliverEvent) {
+            self.0.on_deliver(e);
+        }
+        fn on_crash(&mut self, e: &CrashEvent) {
+            self.0.on_crash(e);
+        }
+        fn on_decide(&mut self, e: &DecideEvent<Val>) {
+            self.0.on_decide(e);
+        }
+        fn on_round(&mut self, e: &RoundEvent) {
+            self.0.on_round(e);
+        }
+        fn on_halt(&mut self, e: &HaltEvent) {
+            self.0.on_halt(e);
+        }
+    }
+
+    #[test]
+    fn bulk_event_counts_equal_the_per_pair_expansion() {
+        use crate::algorithms::floodmin::FloodMin;
+        use kset_sim::observe::EventCounter;
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+
+        for seed in 0..40u64 {
+            let mut rng = StdRng::seed_from_u64(0xb0ad ^ seed);
+            // Up to 130 processes crosses the 64-bit limbs of ProcessSet.
+            let n = rng.gen_range(1..=130usize);
+            let rounds = rng.gen_range(1..=3usize);
+            let mut victims: Vec<usize> = (0..n).collect();
+            victims.shuffle(&mut rng);
+            // Receivers may name ids in n..n+8, which no broadcast reaches;
+            // a crash round past the schedule never fires.
+            let crashes: Vec<RoundCrash> = victims[..rng.gen_range(0..n.min(8))]
+                .iter()
+                .map(|&v| {
+                    let density = f64::from(rng.gen_range(0..=4u32)) / 4.0;
+                    RoundCrash {
+                        round: rng.gen_range(1..=rounds + 1),
+                        pid: ProcessId::new(v),
+                        receivers: (0..n + 8)
+                            .filter(|_| rng.gen_bool(density))
+                            .map(ProcessId::new)
+                            .collect(),
+                    }
+                })
+                .collect();
+            let procs: Vec<FloodMin> = (0..n)
+                .map(|_| FloodMin::new(rng.gen_range(0..=1000u64) as Val, rounds))
+                .collect();
+            let mut bulk: EventCounter<Val> = EventCounter::new();
+            let mut engine = LockStep::new(procs.clone(), rounds, &crashes);
+            engine.drive_observed(u64::MAX, &mut bulk);
+            let mut per_pair = PerPairCounter::default();
+            let mut reference = LockStep::new(procs, rounds, &crashes);
+            reference.drive_observed(u64::MAX, &mut per_pair);
+            let tag = format!("seed {seed}: n={n} rounds={rounds} crashes={crashes:?}");
+            assert_eq!(bulk.counts(), per_pair.0.counts(), "{tag}");
+            assert_eq!(bulk.decisions(), per_pair.0.decisions(), "{tag}");
+            assert_eq!(
+                engine.outcome().decisions,
+                reference.outcome().decisions,
+                "{tag}"
+            );
+        }
     }
 
     #[test]

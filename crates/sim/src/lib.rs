@@ -120,8 +120,8 @@ pub use ids::{
 pub use message::{fingerprint, stable_fingerprint, Envelope, StableHasher};
 pub use model::{ModelParams, Setting, SynchronyBounds};
 pub use observe::{
-    CrashEvent, DecideEvent, DeliverEvent, EventCounter, EventCounts, FdSampleEvent, HaltEvent,
-    NoObserver, Observer, RoundEvent, SendEvent, StepEvent,
+    BroadcastEvent, CrashEvent, DecideEvent, DeliverEvent, EventCounter, EventCounts,
+    FdSampleEvent, HaltEvent, InboxEvent, NoObserver, Observer, RoundEvent, SendEvent, StepEvent,
 };
 pub use oracle::{FnOracle, NoOracle, Oracle};
 pub use process::{Effects, Process, ProcessInfo};

@@ -27,16 +27,27 @@
 //!   predate any drive;
 //!   [`Engine::drive_observed`](crate::Engine::drive_observed) replays them to the
 //!   observer up front (`after_step == false`).
-//! * **round substrate** (one lock-step round): [`Observer::on_send`] per
-//!   `(sender, receiver)` pair of the send phase — a crashing sender's
-//!   omitted deliveries appear as `dropped` sends, so *transmitted* (non-
-//!   dropped) send counts agree with the step substrate —
-//!   [`Observer::on_crash`] per mid-round crash, then per alive receiver
-//!   [`Observer::on_deliver`] for each inbox entry and
+//! * **round substrate** (one lock-step round): per alive sender, in
+//!   ascending id order, one [`Observer::on_broadcast`] for its round
+//!   message — followed by [`Observer::on_crash`] when the sender crashes
+//!   mid-round — then per alive receiver, ascending, one
+//!   [`Observer::on_inbox`] naming the senders it heard and
 //!   [`Observer::on_decide`] when the receive phase first produced a
 //!   decision, and finally [`Observer::on_round`] closing the round.
 //! * Both substrates: [`Observer::on_halt`] exactly once, when
 //!   [`Engine::drive_observed`](crate::Engine::drive_observed) stops.
+//!
+//! The two round events are bulk forms of the per-pair stream, and their
+//! provided implementations expand into it: a [`BroadcastEvent`] becomes
+//! one [`Observer::on_send`] per destination `0..n`, ascending, with the
+//! destinations the broadcast did not reach marked `dropped` (a crashing
+//! sender's omitted deliveries — so *transmitted* send counts agree with
+//! the step substrate); an [`InboxEvent`] becomes one
+//! [`Observer::on_deliver`] per sender heard, ascending. An observer that
+//! implements only the per-pair methods therefore sees exactly the stream
+//! a per-pair round executor would emit. [`EventCounter`] overrides both to
+//! count a round in O(1) per sender and receiver instead of O(n), and
+//! [`NoObserver`] overrides both with no-ops.
 //!
 //! The round substrate carries no message ids and does not fingerprint
 //! payloads (round messages need not be hashable), so [`SendEvent::id`],
@@ -86,7 +97,7 @@
 //! ```
 
 use crate::engine::RunStatus;
-use crate::ids::{MsgId, ProcessId, Time};
+use crate::ids::{MsgId, ProcessId, ProcessSet, Time};
 
 /// A message emission, as observed at the sending substrate.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -154,6 +165,33 @@ pub struct StepEvent {
     pub sent: usize,
 }
 
+/// One round message broadcast to all `n` processes (round substrate
+/// only): the bulk form of `n` [`SendEvent`]s from `src`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BroadcastEvent {
+    /// The round being sent (1-based).
+    pub time: Time,
+    /// The broadcasting process.
+    pub src: ProcessId,
+    /// The system size: the broadcast addresses destinations `0..n`.
+    pub n: usize,
+    /// The destinations the message reached, a subset of `0..n`: all of
+    /// them, or a crashing sender's chosen receivers.
+    pub reached: ProcessSet,
+}
+
+/// One round inbox consumed by an alive receiver (round substrate only):
+/// the bulk form of one [`DeliverEvent`] per sender heard.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InboxEvent {
+    /// The round being received (1-based).
+    pub time: Time,
+    /// The consuming process.
+    pub dst: ProcessId,
+    /// The senders whose round message reached `dst`.
+    pub senders: ProcessSet,
+}
+
 /// One completed lock-step round (round substrate only).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RoundEvent {
@@ -202,8 +240,10 @@ pub struct HaltEvent {
 /// A receiver of typed run events, attachable to **either** execution
 /// substrate through [`Engine::drive_observed`](crate::Engine::drive_observed).
 ///
-/// Every method defaults to a no-op, so an observer implements only the
-/// events it cares about. The type parameter `V` is the substrate's
+/// Every method defaults to a no-op, except the round substrate's bulk
+/// [`Observer::on_broadcast`] and [`Observer::on_inbox`], which default to
+/// their per-pair expansion; so an observer implements only the events it
+/// cares about. The type parameter `V` is the substrate's
 /// decision value type ([`Engine::Output`](crate::Engine::Output)).
 ///
 /// See the [module docs](self) for the per-substrate emission contract.
@@ -242,6 +282,37 @@ pub trait Observer<V> {
         let _ = event;
     }
 
+    /// A round message was broadcast (round substrate only). The default
+    /// expands it into one [`Observer::on_send`] per destination `0..n`,
+    /// ascending, marking the destinations outside `reached` as `dropped`.
+    fn on_broadcast(&mut self, event: &BroadcastEvent) {
+        for dst in ProcessId::all(event.n) {
+            self.on_send(&SendEvent {
+                time: event.time,
+                src: event.src,
+                dst,
+                id: None,
+                payload_fp: None,
+                dropped: !event.reached.contains(dst),
+            });
+        }
+    }
+
+    /// A receiver consumed its round inbox (round substrate only). The
+    /// default expands it into one [`Observer::on_deliver`] per sender,
+    /// ascending.
+    fn on_inbox(&mut self, event: &InboxEvent) {
+        for src in event.senders {
+            self.on_deliver(&DeliverEvent {
+                time: event.time,
+                src,
+                dst: event.dst,
+                id: None,
+                payload_fp: None,
+            });
+        }
+    }
+
     /// A lock-step round completed (round substrate only).
     fn on_round(&mut self, event: &RoundEvent) {
         let _ = event;
@@ -276,6 +347,13 @@ impl<V> Observer<V> for NoObserver {
     fn observes_events(&self) -> bool {
         false
     }
+
+    // The round executor's unobserved path is its observed body with a
+    // `NoObserver`; without these overrides the default per-pair
+    // expansions would keep their loops in that path.
+    fn on_broadcast(&mut self, _event: &BroadcastEvent) {}
+
+    fn on_inbox(&mut self, _event: &InboxEvent) {}
 }
 
 /// Event totals of one observed run — the cross-substrate conformance
@@ -363,6 +441,15 @@ impl<V: Clone> Observer<V> for EventCounter<V> {
 
     fn on_deliver(&mut self, _event: &DeliverEvent) {
         self.counts.delivers += 1;
+    }
+
+    fn on_broadcast(&mut self, event: &BroadcastEvent) {
+        self.counts.sends += event.n as u64;
+        self.counts.dropped += (event.n - event.reached.len()) as u64;
+    }
+
+    fn on_inbox(&mut self, event: &InboxEvent) {
+        self.counts.delivers += event.senders.len() as u64;
     }
 
     fn on_fd_sample(&mut self, _event: &FdSampleEvent) {

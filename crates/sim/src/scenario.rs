@@ -186,8 +186,9 @@ pub enum ScenarioError {
         /// The declared budget.
         f: usize,
     },
-    /// A crash (initial or scheduled) names a process outside `0..n` — it
-    /// would silently affect nothing on either substrate.
+    /// A crash (initial or scheduled) or a crash's receiver set names a
+    /// process outside `0..n` — it would silently affect nothing on either
+    /// substrate.
     CrashOutOfRange {
         /// The named process.
         pid: ProcessId,
@@ -468,6 +469,9 @@ impl Scenario {
         }
         let timed = matches!(self.schedule, ScheduleFamily::Timed { .. });
         for c in &self.crashes {
+            if let Some(pid) = c.receivers.iter().find(|r| r.index() >= self.n) {
+                return Err(ScenarioError::CrashOutOfRange { pid, n: self.n });
+            }
             // Under the timed family `round` is a virtual time, not an
             // index into the scheduled rounds — only `≥ 1` applies.
             if c.round < 1 || (!timed && c.round > self.rounds) {
@@ -1117,6 +1121,14 @@ mod tests {
         assert_eq!(
             ghost_dead.validate(),
             Err(ScenarioError::CrashOutOfRange { pid: pid(4), n: 4 })
+        );
+        // Likewise a receiver outside 0..n, which no round message reaches.
+        let line = "scenario n 4 f 1 k 2 rounds 1 inputs 0,1,2,3 dead - crashes 0@1>7 \
+                    schedule lockstep detector none units 160";
+        let ghost_receiver = Scenario::parse_line(line).expect("the line parses");
+        assert_eq!(
+            ghost_receiver.validate(),
+            Err(ScenarioError::CrashOutOfRange { pid: pid(7), n: 4 })
         );
     }
 

@@ -146,6 +146,78 @@ fn observer_counts_agree_across_substrates_on_the_border_grid() {
 }
 
 #[test]
+fn generated_lock_step_scenarios_agree_across_substrates() {
+    // Beyond the fixed border grid: ~400 fixed-seed random favourable
+    // scenarios — random n, f, k and inputs, random distinct victims
+    // (some initially dead), crash rounds and receiver subsets — each run
+    // on all three substrates with an event counter attached. A failure
+    // prints the scenario line that replays it.
+    use kset::core::scenario::differential::check_observed;
+    use kset::core::Val;
+    use kset::sim::observe::EventCounter;
+    use kset::sim::sweep::cell_seed;
+    use kset::sim::{ProcessId, ScenarioCrash};
+
+    let mut draws = 0usize;
+    let mut below = |bound: usize| {
+        draws += 1;
+        (cell_seed(0xd1ff, draws) % bound as u64) as usize
+    };
+    let mut checked = 0usize;
+    for _ in 0..400 {
+        let n = 2 + below(30);
+        let f = below(n);
+        let k = 1 + below(n.min(4));
+        let inputs = (0..n).map(|_| below(2 * n) as u64).collect();
+        let mut scenario = Scenario::favourable(n, f, k).with_inputs(inputs);
+        let mut victims: Vec<usize> = (0..n).collect();
+        for i in 0..below(f + 1) {
+            victims.swap(i, i + below(n - i));
+            let pid = ProcessId::new(victims[i]);
+            if below(8) == 0 {
+                scenario = scenario.with_initially_dead(pid);
+            } else {
+                let round = 1 + below(scenario.rounds);
+                let receivers = (0..n)
+                    .filter(|_| below(2) == 0)
+                    .map(ProcessId::new)
+                    .collect();
+                scenario = scenario.with_crash(ScenarioCrash {
+                    pid,
+                    round,
+                    receivers,
+                });
+            }
+        }
+        if scenario.validate().is_err() {
+            continue;
+        }
+        let line = scenario.render_line();
+        let mut sim_counter: EventCounter<Val> = EventCounter::new();
+        let mut lock_counter: EventCounter<Val> = EventCounter::new();
+        let mut des_counter: EventCounter<Val> = EventCounter::new();
+        let report = check_observed::<FloodMin>(
+            &scenario,
+            &mut sim_counter,
+            &mut lock_counter,
+            &mut des_counter,
+        )
+        .unwrap_or_else(|e| panic!("{line}: {e}"));
+        assert!(report.agrees(), "{line}: {:?}", report.divergences);
+        let (sim, lock) = (sim_counter.counts(), lock_counter.counts());
+        assert_eq!(sim.transmitted(), lock.transmitted(), "{line}: transmitted");
+        assert_eq!(sim.crashes, lock.crashes, "{line}: crashes");
+        assert_eq!(sim.decides, lock.decides, "{line}: decides");
+        assert_eq!(des_counter.counts(), sim, "{line}: embedded DES totals");
+        checked += 1;
+    }
+    assert!(
+        checked >= 350,
+        "only {checked} of 400 generated scenarios valid"
+    );
+}
+
+#[test]
 fn observer_counts_agree_exactly_without_crashes() {
     // With no crashes there is no in-flight edge: every event total the
     // counter tracks (deliveries included) is equal across substrates.
