@@ -60,8 +60,8 @@
 //! `Engine` exposes `advance`/`done`/`decisions`/`drive`, so runners
 //! ([`core::runner`]), the experiment harness and the benches drive any
 //! substrate through one API; the bounded explorer ([`sim::explore`])
-//! additionally forks `Simulation` configurations directly for exhaustive
-//! search.
+//! additionally steps `Simulation` configurations in place, and forks the
+//! ones it keeps, for exhaustive search.
 //!
 //! Above all three sits the **scenario layer**: a [`sim::Scenario`] (model
 //! point, proposals, round-oriented crash description, schedule family,

@@ -268,6 +268,7 @@ fn observer_bypass_hits(scanned: &ScannedFile, hits: &mut Vec<(usize, &'static s
     const DRIVERS: &[&str] = &[
         "step",
         "step_observed",
+        "step_undoable",
         "execute_round",
         "execute_round_observed",
         "tick",
@@ -395,6 +396,16 @@ mod tests {
     #[test]
     fn observer_home_files_exempt() {
         let src = "fn f(s: &mut S) { s.step(p, d); }\n";
+        assert!(run("crates/sim/src/explore.rs", src)
+            .iter()
+            .any(|d| d.rule == OBSERVER_BYPASS));
+        assert!(run("crates/sim/src/engine.rs", src).is_empty());
+    }
+
+    #[test]
+    fn undoable_steps_fire_outside_the_engine() {
+        // The explorer's in-place step skips the observers like `.step(`.
+        let src = "fn f(s: &mut S) { s.step_undoable(p, d, &mut log); }\n";
         assert!(run("crates/sim/src/explore.rs", src)
             .iter()
             .any(|d| d.rule == OBSERVER_BYPASS));

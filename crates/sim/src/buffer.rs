@@ -161,6 +161,26 @@ impl<M> Buffer<M> {
     pub fn pending_ids(&self) -> Vec<MsgId> {
         self.iter().map(|e| e.id).collect()
     }
+
+    /// Puts taken messages back, each at its send-order position within its
+    /// source (ids grow within a source): the inverse of any `take_*`,
+    /// whatever order the messages come in.
+    pub(crate) fn restore(&mut self, envs: impl IntoIterator<Item = Envelope<M>>) {
+        for env in envs {
+            let queue = &mut self.by_src[env.src.index()];
+            let at = queue.partition_point(|e| e.id < env.id);
+            queue.insert(at, env);
+            self.len += 1;
+        }
+    }
+
+    /// Drops the newest pending message from `src`: the inverse of the
+    /// [`Buffer::push`] that appended it.
+    pub(crate) fn drop_newest_from(&mut self, src: ProcessId) {
+        if self.by_src[src.index()].pop_back().is_some() {
+            self.len -= 1;
+        }
+    }
 }
 
 #[cfg(test)]

@@ -130,7 +130,9 @@ impl<V: Clone + Ord> RunReport<V> {
 ///
 /// `Simulation` is `Clone` when the oracle is, which is what enables the
 /// exhaustive schedule exploration of [`crate::explore`]: a configuration
-/// can be forked and driven down different scheduling branches.
+/// can be forked and driven down different scheduling branches. The
+/// explorer steps each configuration in place, reverts the step, and forks
+/// only the children it keeps.
 #[derive(Debug)]
 pub struct Simulation<P: Process, O: Oracle<Sample = P::Fd>> {
     n: usize,
@@ -307,8 +309,9 @@ where
     /// Discards the recorded trace and stops recording: [`Simulation::trace`]
     /// stays empty from here on, and a step builds its event payloads only
     /// for an observer that [observes events](Observer::observes_events).
-    /// The exhaustive explorer turns this on for the fork it clones every
-    /// DFS child from, since no explorer caller reads a fork's history.
+    /// The exhaustive explorer turns this on for its root fork, which it
+    /// steps in place and clones every kept DFS child from: no explorer
+    /// caller reads a fork's history, and an undo could not revert it.
     pub(crate) fn stop_tracing(&mut self) {
         self.recorder = TraceRecorder::new(self.n);
         self.tracing = false;
@@ -342,8 +345,9 @@ where
     /// events — deliveries, the detector sample, a (first) decision, the
     /// sends, the closing step summary and a possible crash — to `obs`.
     ///
-    /// Every step flows through here: the unobserved [`Simulation::step`]
-    /// is this method with a [`NoObserver`], monomorphized away, and the
+    /// Every step runs one step body: the unobserved [`Simulation::step`]
+    /// is this method with a [`NoObserver`], monomorphized away, the
+    /// exhaustive explorer's in-place steps take the same body, and the
     /// engine's own trace is assembled by an internal
     /// [`TraceRecorder`] fed from the *same* event stream, so internal and
     /// external observers can never disagree about what a step did. The
@@ -362,12 +366,55 @@ where
     where
         Ob: Observer<P::Output> + ?Sized,
     {
+        self.step_logged(pid, delivery, obs, &mut NoUndo)
+    }
+
+    /// Executes one step of `pid` in place and records in `log` what
+    /// [`Simulation::undo`] needs to revert it. The exhaustive explorer
+    /// steps, hashes and reverts a configuration this way, and clones only
+    /// the children it keeps.
+    ///
+    /// The simulation must not be tracing (`stop_tracing`): an undo does
+    /// not take the step's events back out of the trace.
+    ///
+    /// # Errors
+    ///
+    /// As [`Simulation::step`]; a failed step changes nothing and records
+    /// nothing, so there is nothing to undo.
+    pub(crate) fn step_undoable(
+        &mut self,
+        pid: ProcessId,
+        delivery: Delivery,
+        log: &mut UndoLog<P, O>,
+    ) -> Result<(), SimError>
+    where
+        O: Clone,
+    {
+        debug_assert!(!self.tracing, "an undo cannot revert the trace");
+        self.step_logged(pid, delivery, &mut NoObserver, log)
+    }
+
+    /// The one step body. `log` hears the pre-step configuration, every
+    /// message appended and the delivered envelopes; [`NoUndo`] ignores
+    /// them all and compiles away, as [`NoObserver`] does for `obs`.
+    fn step_logged<Ob, L>(
+        &mut self,
+        pid: ProcessId,
+        delivery: Delivery,
+        obs: &mut Ob,
+        log: &mut L,
+    ) -> Result<(), SimError>
+    where
+        Ob: Observer<P::Output> + ?Sized,
+        L: StepLog<P, O>,
+    {
         if pid.index() >= self.n {
             return Err(SimError::InvalidProcess(pid));
         }
         if !self.statuses[pid.index()].is_alive() {
             return Err(SimError::ProcessCrashed(pid));
         }
+        log.begin(self, pid);
         self.time = self.time.next();
         self.total_steps += 1;
         let emit = self.tracing || obs.observes_events();
@@ -457,6 +504,7 @@ where
             }
             if !dropped {
                 self.buffers[dst.index()].push(Envelope::new(id, pid, dst, self.time, payload));
+                log.appended(dst);
             }
         }
 
@@ -537,7 +585,38 @@ where
                 );
             }
         }
+        log.delivered(delivered);
         Ok(())
+    }
+
+    /// Reverts the step that [`Simulation::step_undoable`] last recorded in
+    /// `log`, restoring the pre-step configuration exactly: the stepping
+    /// process's local state, status, decision and crash time, the oracle,
+    /// the violations, time, message ids and step count, and every buffer
+    /// the step took from or appended to. Does nothing if `log` holds no
+    /// step (none recorded, or already undone).
+    pub(crate) fn undo(&mut self, log: &mut UndoLog<P, O>) {
+        let Some(saved) = log.saved.take() else {
+            return;
+        };
+        let pid = saved.pid;
+        let i = pid.index();
+        for dst in log.appended.drain(..).rev() {
+            self.buffers[dst.index()].drop_newest_from(pid);
+        }
+        self.buffers[i].restore(log.delivered.drain(..));
+        self.procs[i] = saved.state;
+        self.oracle = saved.oracle;
+        self.statuses[i] = saved.status;
+        if !saved.decided {
+            self.decided[i] = None;
+            self.decided_flags[i] = false;
+        }
+        self.observed.restore_crash_time(pid, saved.crash_time);
+        self.violations.truncate(saved.violations);
+        self.time = saved.time;
+        self.next_msg_id = saved.next_msg_id;
+        self.total_steps = saved.total_steps;
     }
 
     /// Runs under `scheduler` until every correct process decided, the
@@ -681,6 +760,109 @@ where
             env.payload.hash(&mut h);
         }
         h.finish()
+    }
+}
+
+/// What one step tells its log, so that the step can be undone.
+/// [`NoUndo`], the log of every plain step, ignores it all and compiles
+/// away; the explorer's [`UndoLog`] keeps what reverts the step.
+pub(crate) trait StepLog<P: Process, O: Oracle<Sample = P::Fd>> {
+    /// The step of `pid` goes ahead; `sim` is still the pre-step
+    /// configuration.
+    fn begin(&mut self, sim: &Simulation<P, O>, pid: ProcessId);
+    /// The step appended one message to `dst`'s buffer.
+    fn appended(&mut self, dst: ProcessId);
+    /// The step is done with the envelopes it delivered.
+    fn delivered(&mut self, envs: Vec<Envelope<P::Msg>>);
+}
+
+/// The log of a step nobody will undo.
+pub(crate) struct NoUndo;
+
+impl<P: Process, O: Oracle<Sample = P::Fd>> StepLog<P, O> for NoUndo {
+    fn begin(&mut self, _sim: &Simulation<P, O>, _pid: ProcessId) {}
+
+    fn appended(&mut self, _dst: ProcessId) {}
+
+    fn delivered(&mut self, _envs: Vec<Envelope<P::Msg>>) {}
+}
+
+/// The undo log of one step: what [`Simulation::undo`] needs to put the
+/// configuration back. One log is reused across steps; each
+/// [`Simulation::step_undoable`] overwrites it.
+pub(crate) struct UndoLog<P: Process, O> {
+    /// The pre-step part of the configuration outside the buffers; `None`
+    /// when there is nothing to undo.
+    saved: Option<Saved<P, O>>,
+    /// The envelopes the step delivered.
+    delivered: Vec<Envelope<P::Msg>>,
+    /// The destination of each message the step appended, in send order.
+    appended: Vec<ProcessId>,
+}
+
+/// What a step of `pid` can change outside the buffers, as it was before.
+struct Saved<P: Process, O> {
+    pid: ProcessId,
+    state: P,
+    /// The oracle, which a sample may change (a free zero-sized copy for
+    /// [`NoOracle`]).
+    oracle: O,
+    status: Status,
+    /// Whether `pid` had decided. Decisions are write-once, so a step can
+    /// only set a decision that was unset; this flag restores it.
+    decided: bool,
+    crash_time: Option<Time>,
+    violations: usize,
+    time: Time,
+    next_msg_id: u64,
+    total_steps: u64,
+}
+
+impl<P: Process, O> UndoLog<P, O> {
+    /// An empty log.
+    pub(crate) fn new() -> Self {
+        UndoLog {
+            saved: None,
+            delivered: Vec::new(),
+            appended: Vec::new(),
+        }
+    }
+
+    /// The destination of each message the logged step appended, in send
+    /// order; a destination appears once per message.
+    pub(crate) fn destinations(&self) -> &[ProcessId] {
+        &self.appended
+    }
+}
+
+impl<P, O> StepLog<P, O> for UndoLog<P, O>
+where
+    P: Process,
+    O: Oracle<Sample = P::Fd> + Clone,
+{
+    fn begin(&mut self, sim: &Simulation<P, O>, pid: ProcessId) {
+        let i = pid.index();
+        self.saved = Some(Saved {
+            pid,
+            state: sim.procs[i].clone(),
+            oracle: sim.oracle.clone(),
+            status: sim.statuses[i],
+            decided: sim.decided_flags[i],
+            crash_time: sim.observed.crash_time(pid),
+            violations: sim.violations.len(),
+            time: sim.time,
+            next_msg_id: sim.next_msg_id,
+            total_steps: sim.total_steps,
+        });
+        self.appended.clear();
+    }
+
+    fn appended(&mut self, dst: ProcessId) {
+        self.appended.push(dst);
+    }
+
+    fn delivered(&mut self, envs: Vec<Envelope<P::Msg>>) {
+        self.delivered = envs;
     }
 }
 
@@ -1057,6 +1239,7 @@ where
 mod tests {
     use super::*;
     use crate::failure::Omission;
+    use crate::ids::ProcessSet;
     use crate::process::{Effects, ProcessInfo};
     use crate::trace::TraceEvent;
 
@@ -1507,6 +1690,232 @@ mod tests {
         let mut counter: crate::observe::EventCounter<u64> = crate::observe::EventCounter::new();
         engine.drive_observed(50, &mut counter);
         assert_eq!(counter.counts().crashes, 2);
+    }
+
+    /// A process whose every step folds in what it receives and its
+    /// detector sample, then sends zero to three messages (to itself, twice
+    /// to one process, or past the end of the system) and sometimes decides
+    /// 0 or 1, so a second, different decision records a violation.
+    #[derive(Debug, Clone, Hash)]
+    struct Churn {
+        n: usize,
+        acc: u64,
+    }
+
+    impl Process for Churn {
+        type Msg = u64;
+        type Input = u64;
+        type Output = u64;
+        type Fd = u64;
+
+        fn init(info: ProcessInfo, input: u64) -> Self {
+            Churn {
+                n: info.n,
+                acc: input,
+            }
+        }
+
+        fn step(
+            &mut self,
+            delivered: &[Envelope<u64>],
+            fd: Option<&u64>,
+            effects: &mut Effects<u64, u64>,
+        ) {
+            let mut acc = self.acc ^ fd.copied().unwrap_or(0).rotate_left(17);
+            for env in delivered {
+                acc = acc.rotate_left(7) ^ env.payload ^ ((env.src.index() as u64) << 40);
+            }
+            acc = acc.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (acc >> 29);
+            self.acc = acc;
+            for k in 0..acc % 4 {
+                let dst = (acc >> (8 * k + 8)) % (self.n as u64 + 1);
+                effects.send(ProcessId::new(dst as usize), acc >> k);
+            }
+            if acc.is_multiple_of(3) {
+                effects.decide((acc >> 3) % 2);
+            }
+        }
+    }
+
+    /// Asserts that two configurations agree on everything a step changes.
+    fn assert_same<O>(a: &Simulation<Churn, O>, b: &Simulation<Churn, O>, what: &str)
+    where
+        O: Oracle<Sample = u64>,
+    {
+        assert_eq!(a.config_fingerprint(), b.config_fingerprint(), "{what}");
+        assert_eq!(a.time, b.time, "{what}: time");
+        assert_eq!(a.next_msg_id, b.next_msg_id, "{what}: next message id");
+        assert_eq!(a.total_steps, b.total_steps, "{what}: step count");
+        assert_eq!(a.observed, b.observed, "{what}: failure pattern");
+        assert_eq!(a.statuses, b.statuses, "{what}: statuses");
+        assert_eq!(a.decided, b.decided, "{what}: decisions");
+        assert_eq!(a.decided_flags, b.decided_flags, "{what}: decision flags");
+        assert_eq!(a.violations, b.violations, "{what}: violations");
+        for q in ProcessId::all(a.n) {
+            assert_eq!(a.buffer(q).len(), b.buffer(q).len(), "{what}: {q}");
+            assert!(a.buffer(q).iter().eq(b.buffer(q).iter()), "{what}: {q}");
+        }
+    }
+
+    /// What the seeded undo runs must have exercised at least once.
+    #[derive(Debug, Default)]
+    struct Covered {
+        /// Each `Delivery` variant, in declaration order, used with at least
+        /// one message taken (`None` just used).
+        delivered: [bool; 5],
+        ids_out_of_order: bool,
+        crash_all: bool,
+        crash_keep_only: bool,
+        violation: bool,
+        self_send: bool,
+        same_dst_twice: bool,
+    }
+
+    /// A random delivery for `pid` in `sim`; returns its variant index.
+    fn random_delivery<O>(
+        sim: &Simulation<Churn, O>,
+        pid: ProcessId,
+        rng: &mut rand::rngs::StdRng,
+    ) -> (usize, Delivery)
+    where
+        O: Oracle<Sample = u64>,
+    {
+        use rand::seq::SliceRandom;
+        use rand::Rng;
+        let buf = sim.buffer(pid);
+        let sources: Vec<ProcessId> = buf.sources().iter().collect();
+        let kind = rng.gen_range(0..5usize);
+        let delivery = match kind {
+            0 => Delivery::None,
+            1 => Delivery::All,
+            2 => Delivery::AllFrom(
+                sources
+                    .iter()
+                    .copied()
+                    .filter(|_| rng.gen_bool(0.6))
+                    .collect(),
+            ),
+            3 => {
+                let mut list: Vec<(ProcessId, usize)> = sources
+                    .iter()
+                    .map(|&q| (q, rng.gen_range(0..=buf.pending_from(q) + 1)))
+                    .collect();
+                list.shuffle(rng);
+                Delivery::OldestPerSource(list)
+            }
+            _ => {
+                let mut ids: Vec<MsgId> = buf
+                    .pending_ids()
+                    .into_iter()
+                    .filter(|_| rng.gen_bool(0.7))
+                    .collect();
+                ids.shuffle(rng);
+                if rng.gen_bool(0.2) {
+                    ids.push(MsgId::new(u64::MAX)); // not pending: skipped
+                }
+                Delivery::Ids(ids)
+            }
+        };
+        (kind, delivery)
+    }
+
+    /// Drives `sim` through random steps. Each step is taken in place with
+    /// an undo log and compared with `clone()` + `step()`; the undo must
+    /// restore the parent, and stepping again must land on the same child,
+    /// which also checks that the oracle was restored.
+    fn undo_round_trips<O>(
+        mut sim: Simulation<Churn, O>,
+        steps: usize,
+        rng: &mut rand::rngs::StdRng,
+        covered: &mut Covered,
+    ) where
+        O: Oracle<Sample = u64> + Clone,
+    {
+        use rand::Rng;
+        sim.stop_tracing();
+        let mut log = UndoLog::new();
+        for _ in 0..steps {
+            let alive: Vec<ProcessId> =
+                ProcessId::all(sim.n).filter(|&q| sim.is_alive(q)).collect();
+            if alive.is_empty() {
+                return;
+            }
+            let pid = alive[rng.gen_range(0..alive.len())];
+            let (kind, delivery) = random_delivery(&sim, pid, rng);
+            let parent = sim.clone();
+            let mut expected = sim.clone();
+            expected.step(pid, delivery.clone()).unwrap();
+            sim.step_undoable(pid, delivery.clone(), &mut log).unwrap();
+            assert_same(&sim, &expected, "step in place vs clone + step");
+
+            let taken = parent.buffer(pid).len()
+                + log.destinations().iter().filter(|&&d| d == pid).count()
+                - sim.buffer(pid).len();
+            covered.delivered[kind] |= kind == 0 || taken > 0;
+            if let Delivery::Ids(ids) = &delivery {
+                covered.ids_out_of_order |= taken > 1 && ids.windows(2).any(|w| w[0] > w[1]);
+            }
+            if !sim.is_alive(pid) {
+                match sim.crash_plan().crash_for(pid) {
+                    Some((_, Omission::All)) => covered.crash_all = true,
+                    Some((_, Omission::KeepOnlyTo(_))) => covered.crash_keep_only = true,
+                    _ => {}
+                }
+            }
+            covered.violation |= sim.violations.len() > parent.violations.len();
+            covered.self_send |= log.destinations().contains(&pid);
+            covered.same_dst_twice |= log
+                .destinations()
+                .iter()
+                .enumerate()
+                .any(|(i, d)| log.destinations()[..i].contains(d));
+
+            sim.undo(&mut log);
+            assert_same(&sim, &parent, "undo restores the parent");
+            sim.step(pid, delivery).unwrap();
+            assert_same(&sim, &expected, "stepping again after the undo");
+        }
+    }
+
+    #[test]
+    fn undo_restores_the_parent_and_in_place_steps_match_forks() {
+        use rand::{Rng, SeedableRng};
+        let p = ProcessId::new;
+        let mut covered = Covered::default();
+        for seed in 0..150u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(2..=5usize);
+            let mut plan = CrashPlan::none();
+            if rng.gen_bool(0.5) {
+                plan = plan.with_crash_after(p(0), rng.gen_range(1..=4u64), Omission::All);
+            }
+            if rng.gen_bool(0.5) {
+                let keep: ProcessSet = ProcessId::all(n).filter(|_| rng.gen_bool(0.5)).collect();
+                plan = plan.with_crash_after(
+                    p(1),
+                    rng.gen_range(1..=4u64),
+                    Omission::KeepOnlyTo(keep),
+                );
+            }
+            if n > 3 && rng.gen_bool(0.3) {
+                plan = plan.with_initially_dead(p(n - 1));
+            }
+            let inputs: Vec<u64> = (0..n).map(|_| rng.gen_range(0..1000u64)).collect();
+            // A stateful detector: each sample depends on how many came before.
+            let mut calls = 0u64;
+            let oracle =
+                crate::oracle::FnOracle::new(move |q: ProcessId, t: Time, fp: &FailurePattern| {
+                    calls += 1;
+                    calls * 1_000 + q.index() as u64 * 10 + t.raw() % 7 + fp.num_faulty() as u64
+                });
+            let sim: Simulation<Churn, _> = Simulation::with_oracle(inputs, oracle, plan);
+            undo_round_trips(sim, 40, &mut rng, &mut covered);
+        }
+        assert!(covered.delivered.iter().all(|&c| c), "{covered:?}");
+        assert!(covered.ids_out_of_order, "{covered:?}");
+        assert!(covered.crash_all && covered.crash_keep_only, "{covered:?}");
+        assert!(covered.violation, "{covered:?}");
+        assert!(covered.self_send && covered.same_dst_twice, "{covered:?}");
     }
 
     #[test]

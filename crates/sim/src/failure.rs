@@ -172,6 +172,13 @@ impl FailurePattern {
         }
     }
 
+    /// Sets `p`'s crash time back to `t`, which an earlier
+    /// [`FailurePattern::crash_time`] returned: how an undone step forgets
+    /// the crash it recorded.
+    pub(crate) fn restore_crash_time(&mut self, p: ProcessId, t: Option<Time>) {
+        self.crash_times[p.index()] = t;
+    }
+
     /// The crash time of `p`, if `p` is faulty.
     pub fn crash_time(&self, p: ProcessId) -> Option<Time> {
         self.crash_times[p.index()]

@@ -99,6 +99,17 @@ where
     }
 }
 
+/// A closure oracle is cloneable when its closure is (all its captures
+/// are), so simulations that use one can be forked and explored.
+impl<F: Clone, S> Clone for FnOracle<F, S> {
+    fn clone(&self) -> Self {
+        FnOracle {
+            f: self.f.clone(),
+            _marker: std::marker::PhantomData,
+        }
+    }
+}
+
 impl<F, S> std::fmt::Debug for FnOracle<F, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FnOracle").finish_non_exhaustive()

@@ -4,7 +4,7 @@
 //! exploration, and the counts are independent of how equivalent
 //! configurations were reached.
 
-use kset_sim::explore::{explore, Branching, ExploreConfig};
+use kset_sim::explore::{explore, Branching, ExploreConfig, ExploreReport};
 use kset_sim::sched::Delivery;
 use kset_sim::{
     CrashPlan, Effects, Envelope, Process, ProcessId, ProcessInfo, ProcessSet, Simulation,
@@ -56,6 +56,28 @@ impl Process for MinBarrier {
     }
 }
 
+/// The report's deterministic counts beside the state graph:
+/// `(children, dedup_hits, max_depth, peak_stack)`.
+fn counters(report: &ExploreReport) -> (usize, usize, usize, usize) {
+    (
+        report.children,
+        report.dedup_hits,
+        report.max_depth,
+        report.peak_stack,
+    )
+}
+
+/// On an untruncated run with no violation, every fresh child is expanded,
+/// and so is the initial configuration.
+fn assert_fresh_children_expanded(report: &ExploreReport) {
+    assert!(report.verified(), "{report:?}");
+    assert_eq!(
+        report.children - report.dedup_hits,
+        report.states_expanded - 1,
+        "{report:?}"
+    );
+}
+
 fn sim(n: usize) -> Simulation<MinBarrier, kset_sim::NoOracle> {
     Simulation::new(
         (0..n as u64).map(|v| v * 10 + 3).collect(),
@@ -100,6 +122,8 @@ fn dedup_counts_are_pinned() {
         (7, 1),
         "n=2 NoneOrAll dedup structure"
     );
+    assert_eq!(counters(&report), (18, 12, 3, 3), "n=2 NoneOrAll counters");
+    assert_fresh_children_expanded(&report);
 
     let report3 = explore(&sim(3), &config, |_| Ok(()));
     assert!(!report3.truncated);
@@ -108,6 +132,12 @@ fn dedup_counts_are_pinned() {
         (54, 1),
         "n=3 NoneOrAll dedup structure"
     );
+    assert_eq!(
+        counters(&report3),
+        (264, 211, 6, 10),
+        "n=3 NoneOrAll counters"
+    );
+    assert_fresh_children_expanded(&report3);
 }
 
 #[test]

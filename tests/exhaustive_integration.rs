@@ -6,15 +6,15 @@
 //! covered, so these tests rule out adversarial schedules entirely — the
 //! strongest executable statement the simulator can make.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 
 use kset::core::algorithms::naive::{DecideOwn, LeaderAdopt};
 use kset::core::algorithms::two_stage::{two_stage_inputs, TwoStage};
 use kset::core::task::distinct_proposals;
 use kset::fd::PartitionSigmaOmega;
-use kset::sim::explore::{explore, Branching, ExploreConfig};
+use kset::sim::explore::{explore, Branching, ExploreConfig, ExploreReport};
 use kset::sim::sched::Delivery;
-use kset::sim::{CrashPlan, ProcessId, ProcessSet, Simulation, Time};
+use kset::sim::{CrashPlan, Omission, Oracle, Process, ProcessId, ProcessSet, Simulation, Time};
 
 fn pid(i: usize) -> ProcessId {
     ProcessId::new(i)
@@ -22,11 +22,33 @@ fn pid(i: usize) -> ProcessId {
 
 fn distinct_decisions<P, O>(sim: &Simulation<P, O>) -> BTreeSet<P::Output>
 where
-    P: kset::sim::Process,
+    P: Process,
     P::Fd: std::hash::Hash,
-    O: kset::sim::Oracle<Sample = P::Fd>,
+    O: Oracle<Sample = P::Fd>,
 {
     sim.decisions().iter().flatten().cloned().collect()
+}
+
+/// On an untruncated run with no violation, every fresh child is expanded,
+/// and so is the initial configuration.
+fn assert_fresh_children_expanded(report: &ExploreReport) {
+    assert!(report.verified(), "{report:?}");
+    assert_eq!(
+        report.children - report.dedup_hits,
+        report.states_expanded - 1,
+        "{report:?}"
+    );
+}
+
+/// The report's deterministic counters beside the state graph:
+/// `(children, dedup_hits, max_depth, peak_stack)`.
+fn counters(report: &ExploreReport) -> (usize, usize, usize, usize) {
+    (
+        report.children,
+        report.dedup_hits,
+        report.max_depth,
+        report.peak_stack,
+    )
 }
 
 #[test]
@@ -51,6 +73,8 @@ fn two_stage_consensus_exhaustive_n3() {
     assert!(report.violation.is_none(), "{:?}", report.violation);
     assert!(!report.truncated, "every schedule fits the bound");
     assert_eq!((report.states_expanded, report.terminals), (246, 43));
+    assert_eq!(counters(&report), (968, 723, 9, 12));
+    assert_fresh_children_expanded(&report);
 }
 
 #[test]
@@ -87,6 +111,8 @@ fn two_stage_with_initial_crash_exhaustive() {
             (9, 1),
             "dead={dead}"
         );
+        assert_eq!(counters(&report), (24, 16, 4, 3), "dead={dead}");
+        assert_fresh_children_expanded(&report);
     }
 }
 
@@ -116,6 +142,8 @@ fn two_stage_per_source_branching_exhaustive() {
         report.violation
     );
     assert_eq!((report.states_expanded, report.terminals), (2263, 153));
+    assert_eq!(counters(&report), (13800, 11538, 11, 31));
+    assert_fresh_children_expanded(&report);
 }
 
 #[test]
@@ -149,6 +177,8 @@ fn two_stage_n4_one_dead_per_source_exhaustive() {
         report.violation
     );
     assert_eq!((report.states_expanded, report.terminals), (764, 8));
+    assert_eq!(counters(&report), (4866, 4103, 13, 31));
+    assert_fresh_children_expanded(&report);
 }
 
 #[test]
@@ -195,10 +225,12 @@ fn explorer_rediscovers_theorem10_violation() {
     });
     let v = report
         .violation
+        .as_ref()
         .expect("Theorem 10's violation must be reachable");
     // The DFS order is part of the explorer's contract: the same violation
     // after the same number of expansions, down the same schedule.
     assert_eq!(report.states_expanded, 7);
+    assert_eq!(counters(&report), (23, 8, 4, 11));
     let path: Vec<(usize, Delivery)> = v
         .path
         .iter()
@@ -238,4 +270,94 @@ fn barrier_free_algorithms_terminate_in_every_schedule() {
     let report = explore(&sim, &config, |_| Ok(()));
     assert!(report.terminals > 0);
     assert!(report.violation.is_none());
+    assert_fresh_children_expanded(&report);
+}
+
+/// The delivery menu the explorer branches over, rebuilt from outside.
+fn menu<P, O>(sim: &Simulation<P, O>, pid: ProcessId, branching: Branching) -> Vec<Delivery>
+where
+    P: Process,
+    P::Fd: std::hash::Hash,
+    O: Oracle<Sample = P::Fd>,
+{
+    let buffer = sim.buffer(pid);
+    if buffer.is_empty() {
+        return vec![Delivery::None];
+    }
+    match branching {
+        Branching::NoneOrAll => vec![Delivery::None, Delivery::All],
+        Branching::PerSource => std::iter::once(Delivery::None)
+            .chain(buffer.sources().subsets().map(Delivery::AllFrom))
+            .collect(),
+    }
+}
+
+/// Explores `sim` and replays, in the check callback, each visited
+/// configuration's full menu from outside: every child is forked with the
+/// public `clone` + `step` and hashed with `config_fingerprint()`. The
+/// replay must generate exactly the explorer's children, and its own dedup
+/// set must close over exactly the configurations the explorer expanded.
+fn assert_fork_equivalent<P, O>(sim: &Simulation<P, O>, config: &ExploreConfig) -> ExploreReport
+where
+    P: Process,
+    P::Input: Clone,
+    P::Fd: std::hash::Hash,
+    O: Oracle<Sample = P::Fd> + Clone,
+{
+    let mut seen: HashSet<u64> = HashSet::from([sim.config_fingerprint()]);
+    let mut children = 0usize;
+    let report = explore(sim, config, |s| {
+        if s.all_correct_decided() {
+            return Ok(()); // terminal: the explorer does not expand it
+        }
+        for pid in ProcessId::all(s.n()).filter(|&p| s.is_alive(p)) {
+            for delivery in menu(s, pid, config.branching) {
+                let mut child = s.clone();
+                if child.step(pid, delivery).is_ok() {
+                    children += 1;
+                    seen.insert(child.config_fingerprint());
+                }
+            }
+        }
+        Ok(())
+    });
+    assert_fresh_children_expanded(&report);
+    assert_eq!(children, report.children, "replayed children");
+    assert_eq!(seen.len(), report.states_expanded, "replayed dedup set");
+    report
+}
+
+#[test]
+fn in_place_exploration_equals_forking_every_child() {
+    let two_stage = |n: usize, l: usize, plan: CrashPlan| -> Simulation<TwoStage, _> {
+        Simulation::new(two_stage_inputs(l, &distinct_proposals(n)), plan)
+    };
+    let config = |max_depth, branching| ExploreConfig {
+        max_depth,
+        max_states: 100_000,
+        branching,
+    };
+    let n3 = two_stage(3, 2, CrashPlan::none());
+    let none_or_all = assert_fork_equivalent(&n3, &config(14, Branching::NoneOrAll));
+    assert_eq!(none_or_all.states_expanded, 246);
+    let per_source = assert_fork_equivalent(&n3, &config(64, Branching::PerSource));
+    assert_eq!(per_source.states_expanded, 2263);
+    let dead = two_stage(3, 2, CrashPlan::initially_dead([pid(1)]));
+    let one_dead = assert_fork_equivalent(&dead, &config(12, Branching::PerSource));
+    assert_eq!((one_dead.states_expanded, one_dead.terminals), (9, 1));
+    // p1 crashes in its first step, and only p2 gets that step's sends.
+    let keep = Omission::KeepOnlyTo([pid(1)].into());
+    let crashing = two_stage(3, 2, CrashPlan::none().with_crash_after(pid(0), 1, keep));
+    let crash = assert_fork_equivalent(&crashing, &config(64, Branching::PerSource));
+    assert_eq!((crash.states_expanded, crash.terminals), (144, 19));
+    assert_eq!(counters(&crash), (458, 315, 7, 16));
+    // A detector that reads global time: Ω′ switches to LD after time 4,
+    // inside the explored depth, so an undo that left the clock wrong
+    // would hand `check` other configurations and change these counts.
+    let blocks: Vec<ProcessSet> = vec![[pid(0), pid(1), pid(2)].into(), [pid(3)].into()];
+    let oracle = PartitionSigmaOmega::new(4, blocks, Time::new(4), [pid(0), pid(1)].into());
+    let leader: Simulation<LeaderAdopt, _> =
+        Simulation::with_oracle(distinct_proposals(4), oracle, CrashPlan::none());
+    let adopt = assert_fork_equivalent(&leader, &config(10, Branching::NoneOrAll));
+    assert_eq!((adopt.states_expanded, adopt.terminals), (244, 102));
 }
