@@ -11,11 +11,13 @@
 //!   messages from those `L − 1` processes *and from every remote process
 //!   mentioned in one of the lists it receives* (transitive closure).
 //!
-//! After stage 2 the process knows an in-neighbour-closed fragment of the
-//! *stage-one graph* `G` (edge `u → w` iff `w` heard `u` in stage 1),
-//! containing every source component that reaches it. It deterministically
-//! selects one ([`kset_graph::chosen_source_component`]) and decides the
-//! value proposed by the minimum-id member.
+//! After stage 2 the process knows the set `K` of every process with a path
+//! to it in the *stage-one graph* `G` (edge `u → w` iff `w` heard `u` in
+//! stage 1), and the heard-list of each member of `K`. Every source
+//! component of `G[K]` therefore reaches the process. It selects the one
+//! with the smallest minimum vertex, the selection of
+//! `kset_graph::chosen_source_component`, and decides the value proposed by
+//! that minimum-id member.
 //!
 //! * With `L = ⌈(n+1)/2⌉` and `n > 2f` the source component is unique
 //!   (`2δ ≥ n` with δ = L−1) and the protocol is FLP's initial-crash
@@ -28,10 +30,31 @@
 //! a process mentioned in a heard-list must eventually send its stage-2
 //! message, which holds because having sent `Stage1` proves it was not
 //! initially dead.
+//!
+//! # The decision rule on bitsets
+//!
+//! The decided member is `c*`, the smallest `c ∈ K` that lies in *any*
+//! source component of `G[K]`: the selected component is the one with the
+//! smallest minimum, and that minimum is the smallest member of all source
+//! components. A vertex `c` lies in a source component iff every vertex
+//! that reaches `c` is reached from `c`, `R(c) ⊆ D(c)`. If so, `c`'s
+//! component `R(c) ∩ D(c)` is all of `R(c)`, so no edge enters it from
+//! outside. If not, some `x` reaches `c` but not the other way, and the
+//! path from `x` enters `c`'s component from outside.
+//!
+//! [`chosen_source_min`] finds `c*` forward–backward on [`ProcessSet`]
+//! bitsets, with no graph built. It tries the members of `K` in ascending
+//! order. A candidate `c` with `R(c) ⊄ D(c)` is not in a source component,
+//! and neither is anything in `D(c)`: a path from `c` into a source
+//! component would enter it from outside. So the whole of `D(c)` is
+//! skipped. Each candidate tried costs one forward and one backward walk of
+//! `O(|K|)` set operations, `O(|K|²)` in all.
+//!
+//! `K` is closed under in-neighbours, so the source components of `G[K]`
+//! are exactly the source components of `G` that reach the process. The
+//! answer is therefore the minimum of the graph rule's component;
+//! `tests/props_graph.rs` checks the two against each other.
 
-use std::collections::BTreeSet;
-
-use kset_graph::{chosen_source_component, Digraph};
 use kset_sim::{
     Effects, Envelope, Process, ProcessId, ProcessInfo, ProcessSet, Scenario, ScenarioProcess,
     SenderMap,
@@ -98,7 +121,6 @@ pub fn decision_bound(n: usize, l: usize) -> usize {
 #[derive(Debug, Clone, Hash)]
 pub struct TwoStage {
     me: ProcessId,
-    n: usize,
     l: usize,
     value: Val,
     sent_stage1: bool,
@@ -121,72 +143,103 @@ impl TwoStage {
     /// infos: `K = {me} ∪ heard(me) ∪ heard(heard(me)) ∪ …`. Returns
     /// `Some(K)` when every member's info is known (closure complete).
     fn closure(&self) -> Option<ProcessSet> {
-        let my_heard = self.my_heard?;
         // kset-lint: allow(unchecked-capacity): self.me is a live process id of a capacity-validated system, so the singleton cannot overflow
-        let mut k = ProcessSet::singleton(self.me).union(my_heard);
-        loop {
-            let mut grew = false;
-            for p in k {
-                if p == self.me {
-                    continue; // own heard-list already added
-                }
-                let (_, heard) = self.infos.get(p)?; // info missing: not closed yet
-                let before = k;
-                k |= *heard;
-                if k != before {
-                    grew = true;
-                }
+        let mut k = ProcessSet::singleton(self.me);
+        let mut frontier = k;
+        while !frontier.is_empty() {
+            let mut heard = ProcessSet::new();
+            for p in frontier {
+                heard |= self.infos.get(p)?.1; // info missing: not closed yet
             }
-            if !grew {
-                return Some(k);
-            }
+            frontier = heard - k;
+            k |= heard;
         }
+        Some(k)
     }
 
-    /// Builds the known fragment of the stage-one graph over the closed set
-    /// `K`, decides, and returns the decision value.
-    fn decide_from(&self, k_set: ProcessSet) -> Val {
-        let keep: BTreeSet<usize> = k_set.iter().map(|p| p.index()).collect();
-        // Build the full-size graph with edges inside K only, then induce.
-        let mut g = Digraph::new(self.n);
-        for p in k_set {
-            let heard = if p == self.me {
-                // kset-lint: allow(panic-in-library): invariant — decide_from is only called with the Some(K) returned by closure(), which requires my_heard
-                self.my_heard.expect("closure implies stage 1 complete")
-            } else {
-                // kset-lint: allow(panic-in-library): invariant — closure() returns None unless every member of K has an info entry
-                self.infos.get(p).expect("closure implies info present").1
-            };
-            for u in heard {
-                if u.index() != p.index() {
-                    g.add_edge(u.index(), p.index());
-                }
-            }
-        }
-        let (sub, old_of_new) = g.induced(&keep);
-        let me_new = old_of_new
-            .iter()
-            .position(|old| *old == self.me.index())
-            // kset-lint: allow(panic-in-library): invariant — closure() seeds K with {me}, so the induced subgraph always carries self
-            .expect("self is in its own closure");
-        let comp = chosen_source_component(&sub, me_new);
-        let min_old = comp
-            .iter()
-            .map(|new| old_of_new[*new])
-            .min()
-            // kset-lint: allow(panic-in-library): invariant — chosen_source_component returns a strongly connected component, which is nonempty by definition
-            .expect("source components are nonempty");
-        let min_pid = ProcessId::new(min_old);
-        if min_pid == self.me {
-            self.value
-        } else {
-            self.infos
-                .get(min_pid)
-                // kset-lint: allow(panic-in-library): invariant — the component is a subset of K, and closure() guarantees infos for every member of K
-                .expect("component members have known info")
-                .0
+    /// The decision once the closure is complete: the proposal of the
+    /// smallest member of a source component of the known stage-one graph.
+    fn decision(&self) -> Option<Val> {
+        let k = self.closure()?;
+        let c = chosen_source_min(k, |p| self.infos.get(p).map_or(ProcessSet::new(), |i| i.1))?;
+        self.infos.get(c).map(|i| i.0)
+    }
+}
+
+/// The two-stage decision rule (see the module docs): the smallest member
+/// of `k` that lies in a source component of the stage-one graph restricted
+/// to `k`, where an edge `u → p` means `u ∈ heard(p)`. Returns `None` only
+/// when `k` is empty.
+///
+/// `heard` is called once per member of `k`; members it names outside `k`
+/// are ignored. For the closure `K` of a process, the answer is the
+/// minimum of `kset_graph::chosen_source_component` of that process.
+///
+/// ```
+/// use kset_core::algorithms::two_stage::chosen_source_min;
+/// use kset_sim::{ProcessId, ProcessSet};
+///
+/// let pid = ProcessId::new;
+/// // p0 and p1 hear each other, p2 hears p1, p3 hears p2: the one source
+/// // component is {p0, p1}.
+/// let heard = |p: ProcessId| -> ProcessSet {
+///     match p.index() {
+///         0 => [pid(1)].into(),
+///         1 => [pid(0)].into(),
+///         i => [pid(i - 1)].into(),
+///     }
+/// };
+/// let k: ProcessSet = (0..4).map(pid).collect();
+/// assert_eq!(chosen_source_min(k, heard), Some(pid(0)));
+/// // Without p0, p1 alone is the source.
+/// let k: ProcessSet = (1..4).map(pid).collect();
+/// assert_eq!(chosen_source_min(k, heard), Some(pid(1)));
+/// ```
+pub fn chosen_source_min(
+    k: ProcessSet,
+    heard: impl Fn(ProcessId) -> ProcessSet,
+) -> Option<ProcessId> {
+    // In- and out-sets of G[k], indexed by process id.
+    let len = k.iter().last().map_or(0, |p| p.index() + 1);
+    let mut ins = vec![ProcessSet::new(); len];
+    let mut outs = vec![ProcessSet::new(); len];
+    for p in k {
+        let from = heard(p) & k;
+        ins[p.index()] = from;
+        for u in from {
+            outs[u.index()].insert(p);
         }
     }
+    let mut non_source = ProcessSet::new();
+    for c in k {
+        if non_source.contains(c) {
+            continue;
+        }
+        let down = reach(c, &outs, k);
+        if reach(c, &ins, down).is_subset(down) {
+            return Some(c);
+        }
+        non_source |= down;
+    }
+    None
+}
+
+/// The members reachable from `c` along `edges`, `c` included. The walk
+/// stops as soon as it leaves `within`, so the result is a subset of
+/// `within` iff the whole reachable set is.
+fn reach(c: ProcessId, edges: &[ProcessSet], within: ProcessSet) -> ProcessSet {
+    // kset-lint: allow(unchecked-capacity): c is a member of a ProcessSet, so it is below the capacity
+    let mut seen = ProcessSet::singleton(c);
+    let mut frontier = seen;
+    while !frontier.is_empty() && seen.is_subset(within) {
+        let mut next = ProcessSet::new();
+        for u in frontier {
+            next |= edges[u.index()];
+        }
+        frontier = next - seen;
+        seen |= next;
+    }
+    seen
 }
 
 impl ScenarioProcess for TwoStage {
@@ -209,7 +262,6 @@ impl Process for TwoStage {
         assert!(input.l >= 1 && input.l <= info.n, "need 1 ≤ L ≤ n");
         TwoStage {
             me: info.id,
-            n: info.n,
             l: input.l,
             value: input.value,
             sent_stage1: false,
@@ -259,9 +311,9 @@ impl Process for TwoStage {
         }
         // Decide once the in-neighbour closure is complete.
         if !self.decided {
-            if let Some(k_set) = self.closure() {
+            if let Some(value) = self.decision() {
                 self.decided = true;
-                effects.decide(self.decide_from(k_set));
+                effects.decide(value);
             }
         }
     }
@@ -338,6 +390,22 @@ mod tests {
             let report = run_two_stage(l, &values, CrashPlan::initially_dead(dead), Some(seed));
             let verdict = KSetTask::new(n, k).judge(&values, &report);
             assert!(verdict.holds(), "seed {seed}: {verdict}");
+        }
+    }
+
+    #[test]
+    fn kset_bound_holds_past_one_limb() {
+        // n = 130 spans three 64-bit limbs of a ProcessSet. With f initially
+        // dead, spread over the limbs, L = n − f allows ⌊n/L⌋ decisions.
+        let n = 130;
+        let values = distinct_proposals(n);
+        for (f, seed) in [(0, 1), (65, 2), (100, 3), (129, 4)] {
+            let l = kset_threshold(n, f);
+            let k = decision_bound(n, l);
+            let dead: Vec<ProcessId> = (0..f).map(|i| ProcessId::new(i * 7 % n)).collect();
+            let report = run_two_stage(l, &values, CrashPlan::initially_dead(dead), Some(seed));
+            let verdict = KSetTask::new(n, k).judge(&values, &report);
+            assert!(verdict.holds(), "f = {f}, L = {l}: {verdict}");
         }
     }
 

@@ -150,25 +150,6 @@ impl Digraph {
             preds: self.succs.clone(),
         }
     }
-
-    /// The subgraph induced by `keep`, with vertices *renumbered* to
-    /// `0..keep.len()` in ascending original order. Returns the subgraph and
-    /// the mapping `new index → old index`.
-    pub fn induced(&self, keep: &BTreeSet<usize>) -> (Digraph, Vec<usize>) {
-        let old_of_new: Vec<usize> = keep.iter().copied().collect();
-        let new_of_old: std::collections::BTreeMap<usize, usize> = old_of_new
-            .iter()
-            .enumerate()
-            .map(|(new, old)| (*old, new))
-            .collect();
-        let mut g = Digraph::new(old_of_new.len());
-        for (u, w) in self.edges() {
-            if let (Some(&nu), Some(&nw)) = (new_of_old.get(&u), new_of_old.get(&w)) {
-                g.add_edge(nu, nw);
-            }
-        }
-        (g, old_of_new)
-    }
 }
 
 impl fmt::Display for Digraph {
@@ -247,17 +228,6 @@ mod tests {
         assert!(r.has_edge(2, 1));
         assert_eq!(r.edge_count(), 2);
         assert_eq!(r.reversed(), g);
-    }
-
-    #[test]
-    fn induced_subgraph_renumbers() {
-        let g = Digraph::from_edges(4, [(0, 2), (2, 3), (1, 3)]);
-        let (sub, map) = g.induced(&[0, 2, 3].into());
-        assert_eq!(map, vec![0, 2, 3]);
-        assert_eq!(sub.n(), 3);
-        assert!(sub.has_edge(0, 1), "0→2 becomes 0→1");
-        assert!(sub.has_edge(1, 2), "2→3 becomes 1→2");
-        assert_eq!(sub.edge_count(), 2, "edge from removed vertex 1 dropped");
     }
 
     #[test]

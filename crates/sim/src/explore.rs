@@ -70,13 +70,17 @@ pub struct ExploreReport {
     /// Terminal configurations reached (all correct decided, or no moves).
     pub terminals: usize,
     /// Child configurations generated: one per successful step of an
-    /// expanded configuration, duplicates included.
+    /// expanded configuration, duplicates and skipped no-op steps included.
     pub children: usize,
     /// Children whose fingerprint was already seen, so they were not
     /// explored again. On an untruncated run with no violation,
     /// `children − dedup_hits == states_expanded − 1`: every other child is
     /// fresh and gets expanded, and so does the initial configuration.
     pub dedup_hits: usize,
+    /// Dedup hits the explorer did not step at all: `None` steps it knew
+    /// would leave the configuration unchanged (see [`explore`]). They are
+    /// counted in `children` and `dedup_hits` too.
+    pub noop_skips: usize,
     /// The depth of the deepest configuration reached (the initial one is
     /// at depth 0).
     pub max_depth: usize,
@@ -127,6 +131,18 @@ pub struct ViolationPath {
 /// and reverts the step. Only a child whose fingerprint is new is checked
 /// and cloned onto the stack, so duplicate children cost no clone.
 ///
+/// Some duplicates are not even stepped. When a process's `None` step sends
+/// nothing and leaves its fingerprint component unchanged, the explorer
+/// marks the process, and the configurations below skip its `None` step
+/// until it steps again. Such a step reads only the process's own state
+/// and its detector sample, and other processes' steps only append to its
+/// buffer, which a `None` step never reads. So the skipped child would be
+/// the configuration itself, already seen. A skip counts as a child and a
+/// dedup hit, and in [`ExploreReport::noop_skips`]. The explorer skips only
+/// when the oracle and its sample are zero-sized (as for
+/// [`NoOracle`](crate::oracle::NoOracle)): then every sample is the same
+/// value, and sampling changes nothing.
+///
 /// The configurations handed to `check` descend from one fork of `sim`
 /// that records no trace: their [`Simulation::trace`] is empty. A
 /// configuration's history is the schedule reaching it, which a violation
@@ -158,6 +174,7 @@ where
         terminals: 0,
         children: 0,
         dedup_hits: 0,
+        noop_skips: 0,
         max_depth: 0,
         peak_stack: 0,
         truncated: false,
@@ -177,11 +194,13 @@ where
         return report;
     }
 
+    let skip_noops = size_of::<O>() == 0 && size_of::<P::Fd>() == 0;
     let mut stack = vec![Frame {
         sim: root,
         components,
         depth: 0,
         reached_by: None,
+        noops: ProcessSet::new(),
     }];
     report.peak_stack = stack.len();
     // The schedule reaching the frame being expanded, shared by every frame:
@@ -200,6 +219,7 @@ where
             components,
             depth,
             reached_by,
+            mut noops,
         } = frame;
         if let Some(choice) = reached_by {
             path.truncate(depth - 1);
@@ -213,12 +233,33 @@ where
             report.truncated = true;
             continue;
         }
+        let first_child = stack.len();
         let mut any_move = false;
         for pid in ProcessId::all(current.n()) {
             if !current.is_alive(pid) {
                 continue;
             }
             for delivery in delivery_menu(&current, pid, config.branching) {
+                let no_delivery = matches!(delivery, Delivery::None);
+                if no_delivery && noops.contains(pid) {
+                    any_move = true;
+                    report.children += 1;
+                    report.dedup_hits += 1;
+                    report.noop_skips += 1;
+                    #[cfg(debug_assertions)]
+                    {
+                        // kset-lint: allow(observer-bypass): takes the skipped step anyway, under debug assertions only, to check that it changes nothing; reverted at once
+                        let stepped = current.step_undoable(pid, Delivery::None, &mut log);
+                        assert!(stepped.is_ok() && log.destinations().is_empty());
+                        assert_eq!(
+                            current.config_fingerprint(),
+                            combine_fingerprints(components.iter().copied()),
+                            "a skipped None step of {pid} changes the configuration"
+                        );
+                        current.undo(&mut log);
+                    }
+                    continue;
+                }
                 // kset-lint: allow(observer-bypass): the DFS explorer steps each expanded configuration in place once per menu entry and reverts it; observer event streams are a per-run concept and would only alias across branches here
                 let stepped = current.step_undoable(pid, delivery.clone(), &mut log);
                 if stepped.is_err() {
@@ -236,6 +277,13 @@ where
                 }
                 let fingerprint = combine_fingerprints(next.iter().copied());
                 debug_assert_eq!(fingerprint, current.config_fingerprint());
+                if skip_noops
+                    && no_delivery
+                    && log.destinations().is_empty()
+                    && next[pid.index()] == components[pid.index()]
+                {
+                    noops.insert(pid);
+                }
                 if seen.insert(fingerprint) {
                     let choice = Choice { pid, delivery };
                     if let Err(reason) = check(&current) {
@@ -252,6 +300,7 @@ where
                         components: next.clone(),
                         depth: depth + 1,
                         reached_by: Some(choice),
+                        noops: ProcessSet::new(), // set below, once the marks are all found
                     });
                     report.max_depth = report.max_depth.max(depth + 1);
                     report.peak_stack = report.peak_stack.max(stack.len());
@@ -269,6 +318,15 @@ where
         if !any_move {
             report.terminals += 1;
         }
+        // A child is this configuration plus one step of its process, which
+        // can only append to the other processes' buffers. So it keeps every
+        // mark but its own process's, including marks found after its push.
+        for child in &mut stack[first_child..] {
+            child.noops = noops;
+            if let Some(choice) = &child.reached_by {
+                child.noops.remove(choice.pid);
+            }
+        }
     }
     debug_assert_eq!(
         report.children - report.dedup_hits,
@@ -279,12 +337,14 @@ where
 }
 
 /// A DFS stack entry: a configuration, its per-process fingerprint
-/// components, its depth, and the choice reaching it (`None` at the root).
+/// components, its depth, the choice reaching it (`None` at the root), and
+/// the processes whose `None` step is known to leave it unchanged.
 struct Frame<P: Process, O: Oracle<Sample = P::Fd>> {
     sim: Simulation<P, O>,
     components: Vec<u64>,
     depth: usize,
     reached_by: Option<Choice>,
+    noops: ProcessSet,
 }
 
 /// Exhaustively explores all schedules of a compiled

@@ -57,11 +57,12 @@ impl Process for MinBarrier {
 }
 
 /// The report's deterministic counts beside the state graph:
-/// `(children, dedup_hits, max_depth, peak_stack)`.
-fn counters(report: &ExploreReport) -> (usize, usize, usize, usize) {
+/// `(children, dedup_hits, noop_skips, max_depth, peak_stack)`.
+fn counters(report: &ExploreReport) -> (usize, usize, usize, usize, usize) {
     (
         report.children,
         report.dedup_hits,
+        report.noop_skips,
         report.max_depth,
         report.peak_stack,
     )
@@ -122,7 +123,11 @@ fn dedup_counts_are_pinned() {
         (7, 1),
         "n=2 NoneOrAll dedup structure"
     );
-    assert_eq!(counters(&report), (18, 12, 3, 3), "n=2 NoneOrAll counters");
+    assert_eq!(
+        counters(&report),
+        (18, 12, 3, 3, 3),
+        "n=2 NoneOrAll counters"
+    );
     assert_fresh_children_expanded(&report);
 
     let report3 = explore(&sim(3), &config, |_| Ok(()));
@@ -134,7 +139,7 @@ fn dedup_counts_are_pinned() {
     );
     assert_eq!(
         counters(&report3),
-        (264, 211, 6, 10),
+        (264, 211, 86, 6, 10),
         "n=3 NoneOrAll counters"
     );
     assert_fresh_children_expanded(&report3);

@@ -41,11 +41,12 @@ fn assert_fresh_children_expanded(report: &ExploreReport) {
 }
 
 /// The report's deterministic counters beside the state graph:
-/// `(children, dedup_hits, max_depth, peak_stack)`.
-fn counters(report: &ExploreReport) -> (usize, usize, usize, usize) {
+/// `(children, dedup_hits, noop_skips, max_depth, peak_stack)`.
+fn counters(report: &ExploreReport) -> (usize, usize, usize, usize, usize) {
     (
         report.children,
         report.dedup_hits,
+        report.noop_skips,
         report.max_depth,
         report.peak_stack,
     )
@@ -73,7 +74,7 @@ fn two_stage_consensus_exhaustive_n3() {
     assert!(report.violation.is_none(), "{:?}", report.violation);
     assert!(!report.truncated, "every schedule fits the bound");
     assert_eq!((report.states_expanded, report.terminals), (246, 43));
-    assert_eq!(counters(&report), (968, 723, 9, 12));
+    assert_eq!(counters(&report), (968, 723, 380, 9, 12));
     assert_fresh_children_expanded(&report);
 }
 
@@ -111,7 +112,7 @@ fn two_stage_with_initial_crash_exhaustive() {
             (9, 1),
             "dead={dead}"
         );
-        assert_eq!(counters(&report), (24, 16, 4, 3), "dead={dead}");
+        assert_eq!(counters(&report), (24, 16, 5, 4, 3), "dead={dead}");
         assert_fresh_children_expanded(&report);
     }
 }
@@ -142,7 +143,7 @@ fn two_stage_per_source_branching_exhaustive() {
         report.violation
     );
     assert_eq!((report.states_expanded, report.terminals), (2263, 153));
-    assert_eq!(counters(&report), (13800, 11538, 11, 31));
+    assert_eq!(counters(&report), (13800, 11538, 4194, 11, 31));
     assert_fresh_children_expanded(&report);
 }
 
@@ -177,7 +178,7 @@ fn two_stage_n4_one_dead_per_source_exhaustive() {
         report.violation
     );
     assert_eq!((report.states_expanded, report.terminals), (764, 8));
-    assert_eq!(counters(&report), (4866, 4103, 13, 31));
+    assert_eq!(counters(&report), (4866, 4103, 1492, 13, 31));
     assert_fresh_children_expanded(&report);
 }
 
@@ -230,7 +231,7 @@ fn explorer_rediscovers_theorem10_violation() {
     // The DFS order is part of the explorer's contract: the same violation
     // after the same number of expansions, down the same schedule.
     assert_eq!(report.states_expanded, 7);
-    assert_eq!(counters(&report), (23, 8, 4, 11));
+    assert_eq!(counters(&report), (23, 8, 0, 4, 11));
     let path: Vec<(usize, Delivery)> = v
         .path
         .iter()
@@ -339,18 +340,38 @@ fn in_place_exploration_equals_forking_every_child() {
     };
     let n3 = two_stage(3, 2, CrashPlan::none());
     let none_or_all = assert_fork_equivalent(&n3, &config(14, Branching::NoneOrAll));
-    assert_eq!(none_or_all.states_expanded, 246);
+    assert_eq!(
+        (none_or_all.states_expanded, none_or_all.noop_skips),
+        (246, 380)
+    );
     let per_source = assert_fork_equivalent(&n3, &config(64, Branching::PerSource));
-    assert_eq!(per_source.states_expanded, 2263);
+    assert_eq!(
+        (per_source.states_expanded, per_source.noop_skips),
+        (2263, 4194)
+    );
     let dead = two_stage(3, 2, CrashPlan::initially_dead([pid(1)]));
     let one_dead = assert_fork_equivalent(&dead, &config(12, Branching::PerSource));
     assert_eq!((one_dead.states_expanded, one_dead.terminals), (9, 1));
+    assert_eq!(one_dead.noop_skips, 5);
     // p1 crashes in its first step, and only p2 gets that step's sends.
     let keep = Omission::KeepOnlyTo([pid(1)].into());
     let crashing = two_stage(3, 2, CrashPlan::none().with_crash_after(pid(0), 1, keep));
     let crash = assert_fork_equivalent(&crashing, &config(64, Branching::PerSource));
     assert_eq!((crash.states_expanded, crash.terminals), (144, 19));
-    assert_eq!(counters(&crash), (458, 315, 7, 16));
+    assert_eq!(counters(&crash), (458, 315, 139, 7, 16));
+    // p1 crashes in its third step and sends nothing in it. A `None` step
+    // that looked like a no-op must not be skipped past the crash.
+    let late = two_stage(
+        3,
+        2,
+        CrashPlan::none().with_crash_after(pid(0), 3, Omission::All),
+    );
+    let late_crash = assert_fork_equivalent(&late, &config(64, Branching::NoneOrAll));
+    assert_eq!(
+        (late_crash.states_expanded, late_crash.terminals),
+        (368, 92)
+    );
+    assert_eq!(counters(&late_crash), (1173, 806, 469, 10, 12));
     // A detector that reads global time: Ω′ switches to LD after time 4,
     // inside the explored depth, so an undo that left the clock wrong
     // would hand `check` other configurations and change these counts.
@@ -360,4 +381,8 @@ fn in_place_exploration_equals_forking_every_child() {
         Simulation::with_oracle(distinct_proposals(4), oracle, CrashPlan::none());
     let adopt = assert_fork_equivalent(&leader, &config(10, Branching::NoneOrAll));
     assert_eq!((adopt.states_expanded, adopt.terminals), (244, 102));
+    assert_eq!(
+        adopt.noop_skips, 0,
+        "a detector with state is never skipped"
+    );
 }

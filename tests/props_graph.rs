@@ -3,11 +3,13 @@
 
 use proptest::prelude::*;
 
+use kset::core::algorithms::two_stage::chosen_source_min;
 use kset::graph::{
     check_lemma6, check_lemma7, check_source_count_bound, chosen_source_component, gnp_digraph,
     max_source_components, source_components, source_components_reaching, stage_one_graph,
     tarjan_scc, weakly_connected_components, Condensation, Digraph,
 };
+use kset::sim::{ProcessId, ProcessSet};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -151,32 +153,6 @@ proptest! {
             prop_assert_eq!(g.reachable_from(v), r.reaching(v));
         }
     }
-
-    /// Induced subgraphs keep exactly the edges between kept vertices.
-    #[test]
-    fn induced_subgraph_edge_exactness(
-        n in 1usize..15,
-        p in 0u8..=100,
-        seed in 0u64..10_000,
-        keep_mask in 1u32..,
-    ) {
-        let g = gnp_digraph(n, p, seed);
-        let keep: std::collections::BTreeSet<usize> =
-            (0..n).filter(|i| keep_mask & (1 << (i % 32)) != 0).collect();
-        prop_assume!(!keep.is_empty());
-        let (sub, map) = g.induced(&keep);
-        prop_assert_eq!(map.len(), keep.len());
-        let mut count = 0;
-        for (u, w) in g.edges() {
-            if keep.contains(&u) && keep.contains(&w) {
-                count += 1;
-                let nu = map.iter().position(|x| *x == u).unwrap();
-                let nw = map.iter().position(|x| *x == w).unwrap();
-                prop_assert!(sub.has_edge(nu, nw));
-            }
-        }
-        prop_assert_eq!(sub.edge_count(), count);
-    }
 }
 
 /// Exhaustive check of Lemma 6 over *all* digraphs on up to 4 vertices
@@ -207,4 +183,53 @@ fn lemma6_exhaustive_on_tiny_graphs() {
             }
         }
     }
+}
+
+/// Asserts that two-stage's bitset decision rule agrees with the graph rule
+/// it replaced, for each process `me` in `mes`: over `me`'s closure `K`
+/// (every vertex with a path to `me`), the rule's member must be the
+/// minimum of `chosen_source_component(g, me)`.
+fn assert_rules_agree(g: &Digraph, mes: impl IntoIterator<Item = usize>, label: &str) {
+    // heard(p) = the in-neighbours of p: an edge u → p means p heard u.
+    let heard: Vec<ProcessSet> = (0..g.n())
+        .map(|p| g.predecessors(p).map(ProcessId::new).collect())
+        .collect();
+    for me in mes {
+        let k: ProcessSet = g.reaching(me).into_iter().map(ProcessId::new).collect();
+        let bitset = chosen_source_min(k, |p| heard[p.index()]);
+        let graph = chosen_source_component(g, me).into_iter().min();
+        assert_eq!(bitset.map(ProcessId::index), graph, "{label}, me = {me}");
+    }
+}
+
+#[test]
+fn two_stage_rule_matches_the_graph_rule() {
+    // Small random graphs at every density, every process as `me`.
+    for n in 1..=12 {
+        for density in (0..=100).step_by(5) {
+            for seed in 0..4 {
+                let g = gnp_digraph(n, density, 1_000 * seed + n as u64);
+                assert_rules_agree(&g, 0..n, &format!("gnp n={n} p={density}% seed={seed}"));
+            }
+        }
+    }
+    // Stage-one graphs past one and two 64-bit limbs and at the full
+    // 512-process capacity, with the sample of `me`s spread over the limbs.
+    for (n, deltas) in [
+        (65, [1, 2, 16, 32]),
+        (130, [1, 2, 8, 64]),
+        (512, [1, 2, 3, 8]),
+    ] {
+        for delta in deltas {
+            let g = stage_one_graph(n, delta, (n + delta) as u64);
+            let mes = [0, 63, 64, n / 2, n - 1];
+            assert_rules_agree(&g, mes, &format!("stage-one n={n} δ={delta}"));
+        }
+    }
+    // L = 2 at n = 512 as a chain, the worst case for forward–backward:
+    // p_i hears p_{i+1} and p_511 hears p_510, so the one source
+    // component {p_510, p_511} is the last of 511 candidates from p_0.
+    let edges = (0..511).map(|i| (i + 1, i)).chain([(510, 511)]);
+    let chain = Digraph::from_edges(512, edges);
+    assert_rules_agree(&chain, [0, 1, 255, 510, 511], "chain n=512");
 }
