@@ -25,10 +25,12 @@ pub fn stage_one_graph(n: usize, delta: usize, seed: u64) -> Digraph {
     assert!(delta < n, "in-degree δ must be < n");
     let mut rng = StdRng::seed_from_u64(seed);
     let mut g = Digraph::new(n);
+    let mut candidates = Vec::with_capacity(n - 1);
     for w in 0..n {
-        let mut candidates: Vec<usize> = (0..n).filter(|u| *u != w).collect();
+        candidates.clear();
+        candidates.extend((0..n).filter(|u| *u != w));
         candidates.shuffle(&mut rng);
-        for &u in candidates.iter().take(delta) {
+        for &u in &candidates[..delta] {
             g.add_edge(u, w);
         }
     }

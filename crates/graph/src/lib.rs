@@ -2,8 +2,24 @@
 //!
 //! Graph machinery behind Section VI of Biely–Robinson–Schmid (OPODIS 2011):
 //! the first-stage graph `G` of the generalized FLP protocol, its strongly
-//! connected components, the condensation DAG, **source components**
-//! (Lemmas 6/7) and **initial cliques**.
+//! connected components, **source components** (Lemmas 6/7) and **initial
+//! cliques**.
+//!
+//! ## Representation and cost
+//!
+//! A [`Digraph`] keeps one out-row and one in-row of `⌈n/64⌉` 64-bit words
+//! per vertex, each kind in one flat `Vec<u64>`. Edge insertion and lookup
+//! are single bit operations, degrees are popcounts, and neighbours come
+//! out of a row in ascending order. The rows cost `≈ n²/4` bytes whatever
+//! the edge count: 64 KiB at n = 512, 1 MiB at n = 2048, 25 MB at
+//! n = 10 000. There is no sparse form; the graphs of the two-stage
+//! protocol and of experiment E6 have at most a few dozen vertices.
+//!
+//! With `m` edges, [`tarjan_scc`], [`source_components`] and
+//! [`weakly_connected_components`] each take O(n·⌈n/64⌉ + m) time (Tarjan
+//! also sorts each component's members). Source components come straight
+//! from Tarjan's `vertex → component` map: a component is a source unless
+//! an edge enters it from another component.
 //!
 //! ## Lemmas as code
 //!
@@ -26,7 +42,6 @@
 #![warn(rust_2018_idioms)]
 
 mod clique;
-mod condensation;
 mod digraph;
 mod generate;
 pub mod scc;
@@ -34,7 +49,6 @@ pub mod source;
 mod weakly;
 
 pub use clique::{has_no_incoming, initial_cliques, is_clique};
-pub use condensation::Condensation;
 pub use digraph::Digraph;
 pub use generate::{camps, gnp_digraph, stage_one_graph};
 pub use scc::{tarjan_scc, SccDecomposition};

@@ -1,29 +1,37 @@
 //! Strongly connected components via Tarjan's algorithm (iterative).
 //!
 //! The decision rule of the generalized two-stage protocol (Section VI of
-//! the paper) hinges on *source components* of the first-stage graph; source
-//! components are defined on the condensation of the SCC decomposition, so
-//! SCCs are the workhorse.
+//! the paper) hinges on *source components* of the first-stage graph:
+//! strongly connected components that no edge enters from outside. SCCs
+//! are the workhorse.
+//!
+//! [`tarjan_scc`] takes O(n·⌈n/64⌉ + m) time: each DFS frame resumes at the
+//! next set bit of its vertex's out-row, so every row is scanned once. On
+//! top of that it sorts each component's members, O(n log n) at worst. It
+//! keeps O(n) words of state besides the graph.
 
-use crate::digraph::Digraph;
+use crate::digraph::{Digraph, Ones};
 
 /// The strongly-connected-component decomposition of a digraph.
 ///
-/// Components are numbered `0..count` in **reverse topological order of the
-/// condensation** (Tarjan emits sinks first): if there is an edge from
-/// component `a` to component `b` in the condensation, then `a > b`.
+/// Components are numbered `0..count` in **reverse topological order**
+/// (Tarjan emits sinks first): if an edge goes from component `a` to a
+/// different component `b`, then `a > b`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SccDecomposition {
     /// `component_of[v]` = component index of vertex `v`.
     component_of: Vec<usize>,
-    /// `members[c]` = sorted vertices of component `c`.
-    members: Vec<Vec<usize>>,
+    /// The members of every component, each component sorted, in
+    /// component order.
+    members: Vec<usize>,
+    /// Component `c`'s members are `members[starts[c]..starts[c + 1]]`.
+    starts: Vec<usize>,
 }
 
 impl SccDecomposition {
     /// Number of components.
     pub fn count(&self) -> usize {
-        self.members.len()
+        self.starts.len() - 1
     }
 
     /// Component index of `v`.
@@ -33,18 +41,32 @@ impl SccDecomposition {
 
     /// Sorted members of component `c`.
     pub fn members(&self, c: usize) -> &[usize] {
-        &self.members[c]
+        &self.members[self.starts[c]..self.starts[c + 1]]
     }
 
     /// Iterates over all components as member slices.
     pub fn iter(&self) -> impl Iterator<Item = &[usize]> {
-        self.members.iter().map(Vec::as_slice)
+        self.starts
+            .windows(2)
+            .map(|range| &self.members[range[0]..range[1]])
     }
 
     /// The raw `vertex → component` map.
     pub fn component_map(&self) -> &[usize] {
         &self.component_of
     }
+}
+
+/// A vertex on the DFS path.
+struct Frame<'g> {
+    v: usize,
+    /// `v`'s DFS index.
+    index: usize,
+    /// Where `v` sits on the Tarjan stack.
+    stack_pos: usize,
+    /// The successors of `v` not yet scanned: the frame resumes at the
+    /// next set bit of `v`'s out-row.
+    successors: Ones<'g>,
 }
 
 /// Computes the SCC decomposition of `g` with an iterative Tarjan.
@@ -62,79 +84,64 @@ impl SccDecomposition {
 /// assert_ne!(scc.component_of(0), scc.component_of(2));
 /// ```
 pub fn tarjan_scc(g: &Digraph) -> SccDecomposition {
+    const NONE: usize = usize::MAX;
     let n = g.n();
-    const UNVISITED: usize = usize::MAX;
-    let mut index = vec![UNVISITED; n];
-    let mut lowlink = vec![0usize; n];
-    let mut on_stack = vec![false; n];
+    // `low[v]` is `NONE` until `v` is visited, then its DFS index, lowered
+    // to its lowlink as the search finds edges back into the stack.
+    let mut low = vec![NONE; n];
+    let mut component_of = vec![NONE; n];
+    let mut members = Vec::with_capacity(n);
+    let mut starts = vec![0];
+    // The Tarjan stack: the visited vertices without a component yet.
     let mut stack: Vec<usize> = Vec::new();
-    let mut next_index = 0usize;
-    let mut component_of = vec![UNVISITED; n];
-    let mut members: Vec<Vec<usize>> = Vec::new();
+    let mut dfs: Vec<Frame<'_>> = Vec::new();
+    let mut next_index = 0;
 
-    // Explicit DFS stack: (vertex, iterator position over successors).
-    enum Frame {
-        Enter(usize),
-        Resume(usize, usize), // (v, index into succ list)
-    }
-
-    for start in 0..n {
-        if index[start] != UNVISITED {
+    for root in 0..n {
+        if low[root] != NONE {
             continue;
         }
-        let mut dfs: Vec<Frame> = vec![Frame::Enter(start)];
-        while let Some(frame) = dfs.pop() {
-            match frame {
-                Frame::Enter(v) => {
-                    index[v] = next_index;
-                    lowlink[v] = next_index;
-                    next_index += 1;
-                    stack.push(v);
-                    on_stack[v] = true;
-                    dfs.push(Frame::Resume(v, 0));
+        let mut entering = Some(root);
+        loop {
+            if let Some(v) = entering.take() {
+                low[v] = next_index;
+                dfs.push(Frame {
+                    v,
+                    index: next_index,
+                    stack_pos: stack.len(),
+                    successors: Ones::new(g.out_row(v)),
+                });
+                stack.push(v);
+                next_index += 1;
+            }
+            let Some(frame) = dfs.last_mut() else {
+                break;
+            };
+            let v = frame.v;
+            if let Some(w) = frame.successors.next() {
+                if low[w] == NONE {
+                    entering = Some(w);
+                } else if component_of[w] == NONE {
+                    // w is on the stack: visited, without a component.
+                    low[v] = low[v].min(low[w]);
                 }
-                Frame::Resume(v, succ_pos) => {
-                    let succs: Vec<usize> = g.successors(v).collect();
-                    let mut pos = succ_pos;
-                    let mut descended = false;
-                    while pos < succs.len() {
-                        let w = succs[pos];
-                        pos += 1;
-                        if index[w] == UNVISITED {
-                            dfs.push(Frame::Resume(v, pos));
-                            dfs.push(Frame::Enter(w));
-                            descended = true;
-                            break;
-                        } else if on_stack[w] {
-                            lowlink[v] = lowlink[v].min(index[w]);
-                        }
-                    }
-                    if descended {
-                        continue;
-                    }
-                    // All successors handled: close v.
-                    if lowlink[v] == index[v] {
-                        let c = members.len();
-                        let mut comp = Vec::new();
-                        loop {
-                            // kset-lint: allow(panic-in-library): invariant — Tarjan's algorithm guarantees v sits on the stack when lowlink[v] == index[v], so the pop cannot run dry before reaching v
-                            let w = stack.pop().expect("tarjan stack invariant");
-                            on_stack[w] = false;
-                            component_of[w] = c;
-                            comp.push(w);
-                            if w == v {
-                                break;
-                            }
-                        }
-                        comp.sort_unstable();
-                        members.push(comp);
-                    }
-                    // Propagate lowlink to parent, if any.
-                    if let Some(Frame::Resume(parent, _)) = dfs.last() {
-                        let parent = *parent;
-                        lowlink[parent] = lowlink[parent].min(lowlink[v]);
-                    }
+                continue;
+            }
+            // All successors handled: close v.
+            let (index, stack_pos) = (frame.index, frame.stack_pos);
+            dfs.pop();
+            if low[v] == index {
+                let c = starts.len() - 1;
+                for &w in &stack[stack_pos..] {
+                    component_of[w] = c;
                 }
+                let start = members.len();
+                members.extend(stack.drain(stack_pos..));
+                members[start..].sort_unstable();
+                starts.push(members.len());
+            }
+            if let Some(parent) = dfs.last() {
+                low[parent.v] = low[parent.v].min(low[v]);
             }
         }
     }
@@ -142,6 +149,7 @@ pub fn tarjan_scc(g: &Digraph) -> SccDecomposition {
     SccDecomposition {
         component_of,
         members,
+        starts,
     }
 }
 

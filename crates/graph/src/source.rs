@@ -1,7 +1,7 @@
 //! Source components and the graph lemmas of Section VI.
 //!
 //! A strongly connected component `C` of `G` is a **source component** if
-//! its vertex in the condensation DAG has in-degree 0. The paper proves:
+//! no edge enters it from outside `C`. The paper proves:
 //!
 //! * **Lemma 6.** Every finite directed simple graph where each vertex has
 //!   in-degree ≥ δ > 0 has a source component of size ≥ δ + 1.
@@ -16,18 +16,37 @@
 //! "source component of a vertex" selection used by the protocol, and
 //! checker functions that the property-based tests and experiment E6 use as
 //! oracles.
+//!
+//! [`source_components`] reads the sources off Tarjan's `vertex →
+//! component` map: one pass over the in-rows marks each component that an
+//! edge enters from another component. With [`tarjan_scc`] that costs
+//! O(n·⌈n/64⌉ + m), and so does each checker; Lemma 7's weakly connected
+//! components cost the same again. [`source_components_reaching`] and
+//! [`chosen_source_component`] add one backward reachability walk.
 
 use std::collections::BTreeSet;
 
-use crate::condensation::Condensation;
 use crate::digraph::Digraph;
-use crate::weakly::weakly_connected_components;
+use crate::scc::tarjan_scc;
+use crate::weakly::weak_component_map;
 
 /// The source components of `g`, each sorted, ordered by smallest member.
 pub fn source_components(g: &Digraph) -> Vec<Vec<usize>> {
-    let mut comps = Condensation::of(g).source_components();
-    comps.sort_by_key(|c| c.first().copied());
-    comps
+    let scc = tarjan_scc(g);
+    let component_of = scc.component_map();
+    let mut entered = vec![false; scc.count()];
+    for (w, &c) in component_of.iter().enumerate() {
+        if !entered[c] && g.predecessors(w).any(|u| component_of[u] != c) {
+            entered[c] = true;
+        }
+    }
+    // Each component once, at its smallest member.
+    component_of
+        .iter()
+        .enumerate()
+        .filter(|&(v, &c)| !entered[c] && scc.members(c)[0] == v)
+        .map(|(_, &c)| scc.members(c).to_vec())
+        .collect()
 }
 
 /// The source components whose members reach `v` (there is a directed path
@@ -56,7 +75,7 @@ pub fn chosen_source_component(g: &Digraph, v: usize) -> Vec<usize> {
     source_components_reaching(g, v)
         .into_iter()
         .next()
-        // kset-lint: allow(panic-in-library): invariant — the condensation of any finite digraph has a source SCC reaching every vertex; documented as a caller-bug panic
+        // kset-lint: allow(panic-in-library): invariant — in a finite digraph, following edges backwards from any vertex ends in a source SCC, which then reaches it; documented as a caller-bug panic
         .expect("every vertex is reached by at least one source component")
 }
 
@@ -110,20 +129,25 @@ pub fn check_lemma7(g: &Digraph, delta: usize) -> Result<(), String> {
             ));
         }
     }
-    let sources = source_components(g);
-    for wcc in weakly_connected_components(g) {
-        let wcc_set: BTreeSet<usize> = wcc.iter().copied().collect();
-        let ok = sources
-            .iter()
-            .any(|s| s.len() > delta && s.iter().all(|v| wcc_set.contains(v)));
-        if !ok {
-            return Err(format!(
-                "weakly connected component {wcc:?} lacks a source component of size ≥ {}",
-                delta + 1
-            ));
+    // A source component is strongly connected, so it lies inside the
+    // weakly connected component of any of its members.
+    let (wcc_of, count) = weak_component_map(g);
+    let mut has_large_source = vec![false; count];
+    for s in source_components(g) {
+        if s.len() > delta {
+            has_large_source[wcc_of[s[0]]] = true;
         }
     }
-    Ok(())
+    match has_large_source.iter().position(|ok| !ok) {
+        None => Ok(()),
+        Some(c) => {
+            let wcc: Vec<usize> = (0..g.n()).filter(|&v| wcc_of[v] == c).collect();
+            Err(format!(
+                "weakly connected component {wcc:?} lacks a source component of size ≥ {}",
+                delta + 1
+            ))
+        }
+    }
 }
 
 /// Checks the count bound: at most `⌊n/(δ+1)⌋` source components when the
@@ -237,6 +261,25 @@ mod tests {
         assert_eq!(max_source_components(10, 4), 2);
         assert_eq!(max_source_components(10, 9), 1);
         assert_eq!(max_source_components(7, 2), 2);
+    }
+
+    #[test]
+    fn multiple_sources() {
+        // 0 → 2 ← 1: two singleton sources {0} and {1}.
+        let g = Digraph::from_edges(3, [(0, 2), (1, 2)]);
+        assert_eq!(source_components(&g), vec![vec![0], vec![1]]);
+    }
+
+    #[test]
+    fn single_cycle_is_single_source() {
+        let g = Digraph::from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]);
+        assert_eq!(source_components(&g), vec![vec![0, 1, 2, 3]]);
+    }
+
+    #[test]
+    fn isolated_vertices_are_sources() {
+        let g = Digraph::new(2);
+        assert_eq!(source_components(&g), vec![vec![0], vec![1]]);
     }
 
     #[test]

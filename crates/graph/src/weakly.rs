@@ -1,7 +1,9 @@
 //! Weakly connected components.
 //!
 //! Lemma 7 of the paper refines Lemma 6 per *weakly connected component*:
-//! in each one there is a source component of size ≥ δ + 1.
+//! in each one there is a source component of size ≥ δ + 1. Both functions
+//! here take O(n·⌈n/64⌉ + m) time: every vertex is expanded once, over its
+//! out-row and its in-row.
 
 use crate::digraph::Digraph;
 
@@ -9,31 +11,38 @@ use crate::digraph::Digraph;
 /// ignoring edge direction). Components are sorted internally and listed in
 /// order of their smallest vertex.
 pub fn weakly_connected_components(g: &Digraph) -> Vec<Vec<usize>> {
+    let (component_of, count) = weak_component_map(g);
+    let mut out = vec![Vec::new(); count];
+    for (v, c) in component_of.iter().enumerate() {
+        out[*c].push(v);
+    }
+    out
+}
+
+/// The weakly connected component of every vertex, numbered in order of
+/// their smallest vertex, and the number of components.
+pub(crate) fn weak_component_map(g: &Digraph) -> (Vec<usize>, usize) {
     let n = g.n();
     let mut comp = vec![usize::MAX; n];
     let mut count = 0usize;
+    let mut stack = Vec::new();
     for start in 0..n {
         if comp[start] != usize::MAX {
             continue;
         }
-        let c = count;
-        count += 1;
-        let mut stack = vec![start];
-        comp[start] = c;
+        comp[start] = count;
+        stack.push(start);
         while let Some(v) = stack.pop() {
             for w in g.successors(v).chain(g.predecessors(v)) {
                 if comp[w] == usize::MAX {
-                    comp[w] = c;
+                    comp[w] = count;
                     stack.push(w);
                 }
             }
         }
+        count += 1;
     }
-    let mut out = vec![Vec::new(); count];
-    for (v, c) in comp.iter().enumerate() {
-        out[*c].push(v);
-    }
-    out
+    (comp, count)
 }
 
 #[cfg(test)]

@@ -738,15 +738,19 @@ where
     ///
     /// The value is a fixed combination of one component per process, in
     /// process order; each component covers that process's local state,
-    /// liveness, decision flag and buffer. The exhaustive explorer rehashes
-    /// only the components a step changed and lands on this same value.
+    /// liveness, decision flag and buffer, plus the local step count of an
+    /// alive process that the crash plan will crash. The exhaustive
+    /// explorer rehashes only the components a step changed and lands on
+    /// this same value.
     pub fn config_fingerprint(&self) -> u64 {
         combine_fingerprints(ProcessId::all(self.n).map(|p| self.process_fingerprint(p)))
     }
 
     /// The configuration-fingerprint component of `pid`: its local state,
     /// liveness, decision flag and buffer contents, the buffer as
-    /// `(src, payload)` pairs in FIFO order.
+    /// `(src, payload)` pairs in FIFO order. While the plan's crash of `pid`
+    /// is pending, also `pid`'s local step count, hashed last: that count
+    /// decides when the crash strikes.
     pub(crate) fn process_fingerprint(&self, pid: ProcessId) -> u64 {
         use std::hash::{Hash, Hasher};
         let i = pid.index();
@@ -758,6 +762,14 @@ where
         for env in self.buffers[i].iter() {
             env.src.hash(&mut h);
             env.payload.hash(&mut h);
+        }
+        // Checked first so that runs without scheduled crashes pay nothing.
+        if !self.crash_plan.scheduled().is_empty() {
+            if let Status::Alive { local_steps } = self.statuses[i] {
+                if self.crash_plan.crash_for(pid).is_some() {
+                    local_steps.hash(&mut h);
+                }
+            }
         }
         h.finish()
     }

@@ -124,7 +124,10 @@ pub struct ViolationPath {
 /// The exploration treats "all correct processes decided" as terminal.
 /// Crash plans are honoured (the explorer also branches over *when*
 /// plan-scheduled crashes strike, since those are driven by local step
-/// counts and thus by the schedule itself).
+/// counts and thus by the schedule itself). While a planned crash is
+/// pending, the process's fingerprint component covers its local step
+/// count, so configurations that differ only in when it will crash are
+/// not merged.
 ///
 /// The search steps configurations in place. To expand a configuration,
 /// it applies each move to the configuration itself, hashes the result,
@@ -138,7 +141,9 @@ pub struct ViolationPath {
 /// and its detector sample, and other processes' steps only append to its
 /// buffer, which a `None` step never reads. So the skipped child would be
 /// the configuration itself, already seen. A skip counts as a child and a
-/// dedup hit, and in [`ExploreReport::noop_skips`]. The explorer skips only
+/// dedup hit, and in [`ExploreReport::noop_skips`]. A process with a
+/// pending planned crash is never marked: its `None` step advances the
+/// local step count in its fingerprint component. The explorer skips only
 /// when the oracle and its sample are zero-sized (as for
 /// [`NoOracle`](crate::oracle::NoOracle)): then every sample is the same
 /// value, and sampling changes nothing.

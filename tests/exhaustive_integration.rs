@@ -360,7 +360,8 @@ fn in_place_exploration_equals_forking_every_child() {
     assert_eq!((crash.states_expanded, crash.terminals), (144, 19));
     assert_eq!(counters(&crash), (458, 315, 139, 7, 16));
     // p1 crashes in its third step and sends nothing in it. A `None` step
-    // that looked like a no-op must not be skipped past the crash.
+    // that looked like a no-op must not be skipped past the crash, and
+    // configurations that differ only in p1's step count stay apart.
     let late = two_stage(
         3,
         2,
@@ -369,9 +370,9 @@ fn in_place_exploration_equals_forking_every_child() {
     let late_crash = assert_fork_equivalent(&late, &config(64, Branching::NoneOrAll));
     assert_eq!(
         (late_crash.states_expanded, late_crash.terminals),
-        (368, 92)
+        (621, 128)
     );
-    assert_eq!(counters(&late_crash), (1173, 806, 469, 10, 12));
+    assert_eq!(counters(&late_crash), (1975, 1355, 776, 10, 16));
     // A detector that reads global time: Ω′ switches to LD after time 4,
     // inside the explored depth, so an undo that left the clock wrong
     // would hand `check` other configurations and change these counts.
@@ -385,4 +386,113 @@ fn in_place_exploration_equals_forking_every_child() {
         adopt.noop_skips, 0,
         "a detector with state is never skipped"
     );
+}
+
+/// A terminal configuration's outcome: every decision and every liveness.
+type Outcome = (Vec<Option<u64>>, Vec<bool>);
+
+fn outcome<O: Oracle<Sample = ()>>(sim: &Simulation<TwoStage, O>) -> Outcome {
+    let alive = ProcessId::all(sim.n()).map(|p| sim.is_alive(p)).collect();
+    (sim.decisions().to_vec(), alive)
+}
+
+/// Every terminal outcome reachable from `sim`, found without the
+/// explorer: each child is a `clone` + `step`, and a configuration's dedup
+/// key is its `config_fingerprint()` plus the local step count of every
+/// process whose planned crash is still pending, counted here.
+fn reference_outcomes<O>(sim: &Simulation<TwoStage, O>, branching: Branching) -> BTreeSet<Outcome>
+where
+    O: Oracle<Sample = ()> + Clone,
+{
+    let pending = |s: &Simulation<TwoStage, O>, steps: &[u64]| -> Vec<Option<u64>> {
+        ProcessId::all(s.n())
+            .map(|p| {
+                let planned = s.crash_plan().crash_for(p).is_some();
+                (planned && s.is_alive(p)).then_some(steps[p.index()])
+            })
+            .collect()
+    };
+    let steps = vec![0; sim.n()];
+    let mut seen = HashSet::from([(sim.config_fingerprint(), pending(sim, &steps))]);
+    let mut stack = vec![(sim.clone(), steps)];
+    let mut outcomes = BTreeSet::new();
+    while let Some((s, steps)) = stack.pop() {
+        assert!(seen.len() <= 400_000, "reference search runs away");
+        if s.all_correct_decided() {
+            outcomes.insert(outcome(&s));
+            continue;
+        }
+        for pid in ProcessId::all(s.n()).filter(|&p| s.is_alive(p)) {
+            for delivery in menu(&s, pid, branching) {
+                let mut child = s.clone();
+                if child.step(pid, delivery).is_ok() {
+                    let mut child_steps = steps.clone();
+                    child_steps[pid.index()] += 1;
+                    let key = (child.config_fingerprint(), pending(&child, &child_steps));
+                    if seen.insert(key) {
+                        stack.push((child, child_steps));
+                    }
+                }
+            }
+        }
+    }
+    outcomes
+}
+
+/// For every process of two-stage with `n` processes and threshold `l`,
+/// a crash planned after its local step 1, 2, 3 or 4, sending everything or
+/// nothing in that step: the explorer must verify the run and reach
+/// exactly the terminal outcomes the reference search reaches. Returns the
+/// number of outcomes of each run.
+fn planned_crashes_keep_every_outcome(n: usize, l: usize, branching: Branching) -> Vec<usize> {
+    let config = ExploreConfig {
+        max_depth: 64,
+        max_states: 400_000,
+        branching,
+    };
+    let mut counts = Vec::new();
+    for p in 0..n {
+        for after in 1..=4 {
+            for omission in [Omission::All, Omission::None] {
+                let label = format!("n={n} L={l} p{p} crashes after step {after}, {omission:?}");
+                let plan = CrashPlan::none().with_crash_after(pid(p), after, omission);
+                let sim: Simulation<TwoStage, _> =
+                    Simulation::new(two_stage_inputs(l, &distinct_proposals(n)), plan);
+                let mut outcomes = BTreeSet::new();
+                let report = explore(&sim, &config, |s| {
+                    if s.all_correct_decided() {
+                        outcomes.insert(outcome(s));
+                    }
+                    Ok(())
+                });
+                assert!(report.verified(), "{label}: {report:?}");
+                assert_eq!(outcomes, reference_outcomes(&sim, branching), "{label}");
+                counts.push(outcomes.len());
+            }
+        }
+    }
+    counts
+}
+
+#[test]
+fn planned_crashes_keep_every_terminal_outcome() {
+    // Per process: crashes after steps 1, 2, 3 and 4, each sending
+    // everything and then nothing in the last step. When configurations
+    // that differed only in a pending crash's step count were merged, ten
+    // of the runs with a crash after step 3 or 4 lost one to three of
+    // their eight outcomes.
+    let counts = planned_crashes_keep_every_outcome(3, 2, Branching::NoneOrAll);
+    assert_eq!(counts, [3, 4, 7, 7, 8, 8, 8, 8].repeat(3));
+}
+
+#[test]
+#[ignore = "up to ≈ 7 200 states per run, ≈ 2 s; run by the weekly CI job"]
+fn planned_crashes_keep_every_terminal_outcome_per_source() {
+    planned_crashes_keep_every_outcome(3, 2, Branching::PerSource);
+}
+
+#[test]
+#[ignore = "up to ≈ 96 000 states per run, ≈ 30 s in release; run by the weekly CI job"]
+fn planned_crashes_keep_every_terminal_outcome_n4() {
+    planned_crashes_keep_every_outcome(4, 3, Branching::NoneOrAll);
 }
