@@ -1,4 +1,4 @@
-//! E6 — graph substrate: SCC/condensation/source-component throughput on
+//! E6 — graph substrate: Tarjan SCC and source-component throughput on
 //! stage-one graphs, and the Lemma 6/7 checkers as verification cost.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

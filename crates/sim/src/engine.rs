@@ -131,8 +131,8 @@ impl<V: Clone + Ord> RunReport<V> {
 /// `Simulation` is `Clone` when the oracle is, which is what enables the
 /// exhaustive schedule exploration of [`crate::explore`]: a configuration
 /// can be forked and driven down different scheduling branches. The
-/// explorer steps each configuration in place, reverts the step, and forks
-/// only the children it keeps.
+/// explorer forks once, at the root, and walks the schedule tree by
+/// stepping that fork in place and undoing the steps.
 #[derive(Debug)]
 pub struct Simulation<P: Process, O: Oracle<Sample = P::Fd>> {
     n: usize,
@@ -309,9 +309,9 @@ where
     /// Discards the recorded trace and stops recording: [`Simulation::trace`]
     /// stays empty from here on, and a step builds its event payloads only
     /// for an observer that [observes events](Observer::observes_events).
-    /// The exhaustive explorer turns this on for its root fork, which it
-    /// steps in place and clones every kept DFS child from: no explorer
-    /// caller reads a fork's history, and an undo could not revert it.
+    /// The exhaustive explorer turns this on for its root fork, the one
+    /// configuration it steps in place and undoes: no explorer caller reads
+    /// a fork's history, and an undo could not revert it.
     pub(crate) fn stop_tracing(&mut self) {
         self.recorder = TraceRecorder::new(self.n);
         self.tracing = false;
@@ -371,8 +371,8 @@ where
 
     /// Executes one step of `pid` in place and records in `log` what
     /// [`Simulation::undo`] needs to revert it. The exhaustive explorer
-    /// steps, hashes and reverts a configuration this way, and clones only
-    /// the children it keeps.
+    /// steps, hashes and reverts a configuration this way, and steps into
+    /// each fresh child again this way to expand it.
     ///
     /// The simulation must not be tracing (`stop_tracing`): an undo does
     /// not take the step's events back out of the trace.
@@ -754,7 +754,7 @@ where
     pub(crate) fn process_fingerprint(&self, pid: ProcessId) -> u64 {
         use std::hash::{Hash, Hasher};
         let i = pid.index();
-        let mut h = std::collections::hash_map::DefaultHasher::new();
+        let mut h = ComponentHasher::new();
         i.hash(&mut h);
         self.procs[i].hash(&mut h);
         self.statuses[i].is_alive().hash(&mut h);
@@ -772,6 +772,53 @@ where
             }
         }
         h.finish()
+    }
+}
+
+/// The hasher of a fingerprint component. It appends the bytes of every
+/// field to an inline buffer and hands the whole buffer to SipHash
+/// (`DefaultHasher`) in one `write`, writing early only when the buffer is
+/// full. SipHash's value depends only on the byte stream, not on how the
+/// stream is split into writes, so a component hashes to exactly the value
+/// a `DefaultHasher` fed field by field gives, for one `write` where that
+/// pays one per field (26–31 on average for a two-stage component).
+struct ComponentHasher {
+    sip: std::collections::hash_map::DefaultHasher,
+    /// Holds every two-stage component of the benchmark's n ≤ 4 states
+    /// (at most 260 bytes), so those take a single `write`.
+    buf: [u8; 512],
+    len: usize,
+}
+
+impl ComponentHasher {
+    fn new() -> Self {
+        ComponentHasher {
+            sip: std::collections::hash_map::DefaultHasher::new(),
+            buf: [0; 512],
+            len: 0,
+        }
+    }
+}
+
+impl std::hash::Hasher for ComponentHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        if bytes.len() > self.buf.len() - self.len {
+            self.sip.write(&self.buf[..self.len]);
+            self.len = 0;
+            if bytes.len() > self.buf.len() {
+                self.sip.write(bytes);
+                return;
+            }
+        }
+        self.buf[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+    }
+
+    fn finish(&self) -> u64 {
+        let mut sip = self.sip.clone();
+        sip.write(&self.buf[..self.len]);
+        sip.finish()
     }
 }
 
@@ -1928,6 +1975,112 @@ mod tests {
         assert!(covered.crash_all && covered.crash_keep_only, "{covered:?}");
         assert!(covered.violation, "{covered:?}");
         assert!(covered.self_send && covered.same_dst_twice, "{covered:?}");
+    }
+
+    /// A fingerprint component as documented, each field fed on its own into
+    /// a fresh `DefaultHasher`: the index, the local state, liveness and the
+    /// decision flag, each buffered `(src, payload)`, and the local step
+    /// count while a planned crash is pending.
+    fn reference_component<P, O>(sim: &Simulation<P, O>, pid: ProcessId) -> u64
+    where
+        P: Process,
+        P::Fd: std::hash::Hash,
+        O: Oracle<Sample = P::Fd>,
+    {
+        use std::hash::{Hash, Hasher};
+        let i = pid.index();
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        i.hash(&mut h);
+        sim.procs[i].hash(&mut h);
+        sim.is_alive(pid).hash(&mut h);
+        sim.decided_flags[i].hash(&mut h);
+        for env in sim.buffer(pid).iter() {
+            env.src.hash(&mut h);
+            env.payload.hash(&mut h);
+        }
+        if let Status::Alive { local_steps } = sim.statuses[i] {
+            if sim.crash_plan().crash_for(pid).is_some() {
+                local_steps.hash(&mut h);
+            }
+        }
+        h.finish()
+    }
+
+    fn assert_components_match_reference<P, O>(sim: &Simulation<P, O>, what: &str)
+    where
+        P: Process,
+        P::Fd: std::hash::Hash,
+        O: Oracle<Sample = P::Fd>,
+    {
+        for q in ProcessId::all(sim.n) {
+            assert_eq!(
+                sim.process_fingerprint(q),
+                reference_component(sim, q),
+                "{what}: {q}"
+            );
+        }
+    }
+
+    #[test]
+    fn fingerprint_components_hash_as_field_by_field_siphash() {
+        use rand::{Rng, SeedableRng};
+        use std::hash::Hasher;
+        let p = ProcessId::new;
+        // Seeded Churn runs, with and without planned crashes.
+        for seed in 0..60u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(2..=5usize);
+            let mut plan = CrashPlan::none();
+            if seed % 2 == 1 {
+                plan = plan
+                    .with_crash_after(p(0), rng.gen_range(1..=4u64), Omission::All)
+                    .with_crash_after(
+                        p(1),
+                        rng.gen_range(1..=4u64),
+                        Omission::KeepOnlyTo([p(0)].into()),
+                    );
+            }
+            let inputs: Vec<u64> = (0..n).map(|_| rng.gen_range(0..1000u64)).collect();
+            let oracle =
+                crate::oracle::FnOracle::new(|q: ProcessId, t: Time, _: &FailurePattern| {
+                    q.index() as u64 + t.raw()
+                });
+            let mut sim: Simulation<Churn, _> = Simulation::with_oracle(inputs, oracle, plan);
+            assert_components_match_reference(&sim, "initial");
+            for step in 0..30 {
+                let alive: Vec<ProcessId> =
+                    ProcessId::all(n).filter(|&q| sim.is_alive(q)).collect();
+                if alive.is_empty() {
+                    break;
+                }
+                let pid = alive[rng.gen_range(0..alive.len())];
+                let (_, delivery) = random_delivery(&sim, pid, &mut rng);
+                sim.step(pid, delivery).unwrap();
+                assert_components_match_reference(&sim, &format!("seed {seed}, step {step}"));
+            }
+        }
+        // Components longer than the inline buffer: n = 64, every broadcast
+        // pending, so each buffer holds 64 messages.
+        let mut wide: Simulation<MinEcho, NoOracle> =
+            Simulation::new((0..64).collect(), CrashPlan::none());
+        for q in ProcessId::all(64) {
+            wide.step(q, Delivery::None).unwrap();
+        }
+        assert_eq!(wide.buffer(p(0)).len(), 64);
+        assert_components_match_reference(&wide, "n = 64");
+        // Any split of a byte stream, writes longer than the buffer included.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        for _ in 0..50 {
+            let mut ours = ComponentHasher::new();
+            let mut sip = std::collections::hash_map::DefaultHasher::new();
+            for _ in 0..rng.gen_range(0..12usize) {
+                let len = rng.gen_range(0..1200usize);
+                let bytes: Vec<u8> = (0..len).map(|_| rng.gen_range(0..=255u8)).collect();
+                ours.write(&bytes);
+                sip.write(&bytes);
+            }
+            assert_eq!(ours.finish(), sip.finish());
+        }
     }
 
     #[test]

@@ -84,7 +84,10 @@ pub struct ExploreReport {
     /// The depth of the deepest configuration reached (the initial one is
     /// at depth 0).
     pub max_depth: usize,
-    /// The most configurations the depth-first stack held at once.
+    /// The most configurations waiting at once to be expanded: fresh
+    /// children recorded and not yet taken, over every depth of the current
+    /// path. The initial configuration waits alone at first, so this is at
+    /// least 1.
     pub peak_stack: usize,
     /// Whether the state or depth budget was exhausted (the check is then
     /// partial, not even complete up to the depth bound; see [`explore`]).
@@ -129,10 +132,23 @@ pub struct ViolationPath {
 /// count, so configurations that differ only in when it will crash are
 /// not merged.
 ///
-/// The search steps configurations in place. To expand a configuration,
-/// it applies each move to the configuration itself, hashes the result,
-/// and reverts the step. Only a child whose fingerprint is new is checked
-/// and cloned onto the stack, so duplicate children cost no clone.
+/// The search holds one configuration, the one at the end of the schedule
+/// it is exploring, and clones nothing but `sim`. To expand a
+/// configuration, it applies each move to the configuration itself,
+/// hashes the result, and reverts the step. A child whose fingerprint is
+/// new is checked on the stepped configuration and recorded as its
+/// [`Choice`] and fingerprint components. When the expansion is done, the
+/// search takes the recorded children last-first: it steps each one
+/// again, expands it, and undoes the step on the way back. So no child
+/// costs a clone: a duplicate costs a step and an undo, a fresh child two
+/// of each.
+///
+/// Taking a recorded child again relies on a step being a function of the
+/// configuration and the choice, so that the step lands on the
+/// configuration `check` saw; debug builds assert that it does. The undo
+/// relies on it too. A process or oracle whose step reads a clock, or
+/// iterates a hash map whose order a clone does not keep, would break it;
+/// none in the workspace does.
 ///
 /// Some duplicates are not even stepped. When a process's `None` step sends
 /// nothing and leaves its fingerprint component unchanged, the explorer
@@ -181,17 +197,19 @@ where
         dedup_hits: 0,
         noop_skips: 0,
         max_depth: 0,
-        peak_stack: 0,
+        peak_stack: 1,
         truncated: false,
         violation: None,
     };
-    let mut root = sim.clone();
-    root.stop_tracing();
-    let components: Vec<u64> = ProcessId::all(root.n())
-        .map(|p| root.process_fingerprint(p))
+    let mut current = sim.clone();
+    current.stop_tracing();
+    let n = current.n();
+    // The fingerprint components of `current`.
+    let mut components: Vec<u64> = ProcessId::all(n)
+        .map(|p| current.process_fingerprint(p))
         .collect();
     seen.insert(combine_fingerprints(components.iter().copied()));
-    if let Err(reason) = check(&root) {
+    if let Err(reason) = check(&current) {
         report.violation = Some(ViolationPath {
             reason,
             path: Vec::new(),
@@ -200,156 +218,188 @@ where
     }
 
     let skip_noops = size_of::<O>() == 0 && size_of::<P::Fd>() == 0;
-    let mut stack = vec![Frame {
-        sim: root,
-        components,
-        depth: 0,
-        reached_by: None,
-        noops: ProcessSet::new(),
-    }];
-    report.peak_stack = stack.len();
-    // The schedule reaching the frame being expanded, shared by every frame:
-    // a popped frame at depth d keeps its parent's d − 1 choices.
+    // The schedule reaching `current`; its length is `current`'s depth.
     let mut path: Vec<Choice> = Vec::new();
+    // `levels[d]` records the fresh children of the configuration at depth
+    // d of `path`. A level past the current depth is empty, kept for reuse.
+    let mut levels: Vec<Level<P, O>> = Vec::new();
+    // The processes whose `None` step is known to leave `current` unchanged.
+    let mut noops = ProcessSet::new();
+    // Fresh children recorded and not yet taken, over every level.
+    let mut waiting = 0usize;
     let mut next: Vec<u64> = Vec::new();
-    let mut log = UndoLog::new();
-    while let Some(frame) = stack.pop() {
+    loop {
         if report.states_expanded >= config.max_states {
             report.truncated = true;
             return report;
         }
         report.states_expanded += 1;
-        let Frame {
-            sim: mut current,
-            components,
-            depth,
-            reached_by,
-            mut noops,
-        } = frame;
-        if let Some(choice) = reached_by {
-            path.truncate(depth - 1);
-            path.push(choice);
+        let depth = path.len();
+        if levels.len() == depth {
+            levels.push(Level::new());
         }
+        let level = &mut levels[depth];
+        debug_assert!(
+            level.choices.is_empty(),
+            "a level is left only once its children are all taken"
+        );
         if current.all_correct_decided() {
             report.terminals += 1;
-            continue;
-        }
-        if depth >= config.max_depth {
+        } else if depth >= config.max_depth {
             report.truncated = true;
-            continue;
-        }
-        let first_child = stack.len();
-        let mut any_move = false;
-        for pid in ProcessId::all(current.n()) {
-            if !current.is_alive(pid) {
-                continue;
-            }
-            for delivery in delivery_menu(&current, pid, config.branching) {
-                let no_delivery = matches!(delivery, Delivery::None);
-                if no_delivery && noops.contains(pid) {
+        } else {
+            let mut any_move = false;
+            for pid in ProcessId::all(n) {
+                if !current.is_alive(pid) {
+                    continue;
+                }
+                for delivery in delivery_menu(&current, pid, config.branching) {
+                    let no_delivery = matches!(delivery, Delivery::None);
+                    if no_delivery && noops.contains(pid) {
+                        any_move = true;
+                        report.children += 1;
+                        report.dedup_hits += 1;
+                        report.noop_skips += 1;
+                        #[cfg(debug_assertions)]
+                        {
+                            let log = &mut level.log;
+                            // kset-lint: allow(observer-bypass): takes the skipped step anyway, under debug assertions only, to check that it changes nothing; reverted at once
+                            let stepped = current.step_undoable(pid, Delivery::None, log);
+                            assert!(stepped.is_ok() && log.destinations().is_empty());
+                            assert_eq!(
+                                current.config_fingerprint(),
+                                combine_fingerprints(components.iter().copied()),
+                                "a skipped None step of {pid} changes the configuration"
+                            );
+                            current.undo(log);
+                        }
+                        continue;
+                    }
+                    // kset-lint: allow(observer-bypass): the DFS explorer steps each expanded configuration in place once per menu entry and reverts it; observer event streams are a per-run concept and would only alias across branches here
+                    let stepped = current.step_undoable(pid, delivery.clone(), &mut level.log);
+                    if stepped.is_err() {
+                        continue;
+                    }
                     any_move = true;
                     report.children += 1;
-                    report.dedup_hits += 1;
-                    report.noop_skips += 1;
-                    #[cfg(debug_assertions)]
+                    // A step changes the stepping process's component and can
+                    // only append to other buffers: rehash just those.
+                    next.clone_from(&components);
+                    let mut touched: ProcessSet =
+                        level.log.destinations().iter().copied().collect();
+                    touched.insert(pid);
+                    for q in touched {
+                        next[q.index()] = current.process_fingerprint(q);
+                    }
+                    let fingerprint = combine_fingerprints(next.iter().copied());
+                    debug_assert_eq!(fingerprint, current.config_fingerprint());
+                    if skip_noops
+                        && no_delivery
+                        && level.log.destinations().is_empty()
+                        && next[pid.index()] == components[pid.index()]
                     {
-                        // kset-lint: allow(observer-bypass): takes the skipped step anyway, under debug assertions only, to check that it changes nothing; reverted at once
-                        let stepped = current.step_undoable(pid, Delivery::None, &mut log);
-                        assert!(stepped.is_ok() && log.destinations().is_empty());
-                        assert_eq!(
-                            current.config_fingerprint(),
-                            combine_fingerprints(components.iter().copied()),
-                            "a skipped None step of {pid} changes the configuration"
-                        );
-                        current.undo(&mut log);
+                        noops.insert(pid);
                     }
-                    continue;
-                }
-                // kset-lint: allow(observer-bypass): the DFS explorer steps each expanded configuration in place once per menu entry and reverts it; observer event streams are a per-run concept and would only alias across branches here
-                let stepped = current.step_undoable(pid, delivery.clone(), &mut log);
-                if stepped.is_err() {
-                    continue;
-                }
-                any_move = true;
-                report.children += 1;
-                // A step changes the stepping process's component and can
-                // only append to other buffers: rehash just those.
-                next.clone_from(&components);
-                let mut touched: ProcessSet = log.destinations().iter().copied().collect();
-                touched.insert(pid);
-                for q in touched {
-                    next[q.index()] = current.process_fingerprint(q);
-                }
-                let fingerprint = combine_fingerprints(next.iter().copied());
-                debug_assert_eq!(fingerprint, current.config_fingerprint());
-                if skip_noops
-                    && no_delivery
-                    && log.destinations().is_empty()
-                    && next[pid.index()] == components[pid.index()]
-                {
-                    noops.insert(pid);
-                }
-                if seen.insert(fingerprint) {
-                    let choice = Choice { pid, delivery };
-                    if let Err(reason) = check(&current) {
-                        let mut vpath = path.clone();
-                        vpath.push(choice);
-                        report.violation = Some(ViolationPath {
-                            reason,
-                            path: vpath,
-                        });
-                        return report;
+                    if seen.insert(fingerprint) {
+                        let choice = Choice { pid, delivery };
+                        if let Err(reason) = check(&current) {
+                            let mut vpath = path.clone();
+                            vpath.push(choice);
+                            report.violation = Some(ViolationPath {
+                                reason,
+                                path: vpath,
+                            });
+                            return report;
+                        }
+                        level.choices.push(choice);
+                        level.components.extend_from_slice(&next);
+                        waiting += 1;
+                        report.max_depth = report.max_depth.max(depth + 1);
+                        report.peak_stack = report.peak_stack.max(waiting);
+                    } else {
+                        report.dedup_hits += 1; // already explored an equivalent configuration
                     }
-                    stack.push(Frame {
-                        sim: current.clone(),
-                        components: next.clone(),
-                        depth: depth + 1,
-                        reached_by: Some(choice),
-                        noops: ProcessSet::new(), // set below, once the marks are all found
-                    });
-                    report.max_depth = report.max_depth.max(depth + 1);
-                    report.peak_stack = report.peak_stack.max(stack.len());
-                } else {
-                    report.dedup_hits += 1; // already explored an equivalent configuration
+                    current.undo(&mut level.log);
+                    debug_assert_eq!(
+                        current.config_fingerprint(),
+                        combine_fingerprints(components.iter().copied()),
+                        "an undo restores the parent"
+                    );
                 }
-                current.undo(&mut log);
+            }
+            if !any_move {
+                report.terminals += 1;
+            }
+            // The marks found by the whole expansion, which every child
+            // inherits but for its own stepping process's.
+            level.noops = noops;
+        }
+
+        // Take the next child: the last one recorded at the deepest level
+        // that still has one, undoing the steps into the levels left behind.
+        loop {
+            let depth = path.len();
+            let level = &mut levels[depth];
+            if let Some(choice) = level.choices.pop() {
+                waiting -= 1;
+                let start = level.components.len() - n;
+                components.copy_from_slice(&level.components[start..]);
+                level.components.truncate(start);
+                // A child is its parent plus one step of its process, which
+                // can only append to the other processes' buffers. So it
+                // keeps every mark but its own process's.
+                noops = level.noops;
+                noops.remove(choice.pid);
+                let delivery = choice.delivery.clone();
+                // kset-lint: allow(observer-bypass): the DFS explorer steps again into a fresh child it recorded, to expand it in place, and undoes the step once the child's subtree is done; as for the probing steps, a per-run event stream would only alias across branches
+                let stepped = current.step_undoable(choice.pid, delivery, &mut level.log);
+                debug_assert!(stepped.is_ok(), "a recorded child steps again");
                 debug_assert_eq!(
                     current.config_fingerprint(),
                     combine_fingerprints(components.iter().copied()),
-                    "an undo restores the parent"
+                    "stepping again lands on the child `check` saw"
                 );
+                path.push(choice);
+                break;
             }
-        }
-        if !any_move {
-            report.terminals += 1;
-        }
-        // A child is this configuration plus one step of its process, which
-        // can only append to the other processes' buffers. So it keeps every
-        // mark but its own process's, including marks found after its push.
-        for child in &mut stack[first_child..] {
-            child.noops = noops;
-            if let Some(choice) = &child.reached_by {
-                child.noops.remove(choice.pid);
+            if depth == 0 {
+                debug_assert_eq!(
+                    report.children - report.dedup_hits,
+                    report.states_expanded - 1,
+                    "every fresh child was expanded"
+                );
+                return report;
             }
+            path.pop();
+            current.undo(&mut levels[depth - 1].log);
         }
     }
-    debug_assert_eq!(
-        report.children - report.dedup_hits,
-        report.states_expanded - 1,
-        "every fresh child was expanded"
-    );
-    report
 }
 
-/// A DFS stack entry: a configuration, its per-process fingerprint
-/// components, its depth, the choice reaching it (`None` at the root), and
-/// the processes whose `None` step is known to leave it unchanged.
-struct Frame<P: Process, O: Oracle<Sample = P::Fd>> {
-    sim: Simulation<P, O>,
+/// The fresh children of one configuration on the explorer's path, reused
+/// at its depth across expansions: each child's choice and fingerprint
+/// components, the configuration's no-op marks, and the undo log of the
+/// step into the child being explored below (during the expansion itself,
+/// of each probed step).
+struct Level<P: Process, O> {
+    choices: Vec<Choice>,
+    /// `n` components per child, in the order of `choices`.
     components: Vec<u64>,
-    depth: usize,
-    reached_by: Option<Choice>,
+    /// The processes whose `None` step is known to leave the configuration
+    /// unchanged.
     noops: ProcessSet,
+    log: UndoLog<P, O>,
+}
+
+impl<P: Process, O> Level<P, O> {
+    fn new() -> Self {
+        Level {
+            choices: Vec::new(),
+            components: Vec::new(),
+            noops: ProcessSet::new(),
+            log: UndoLog::new(),
+        }
+    }
 }
 
 /// Exhaustively explores all schedules of a compiled

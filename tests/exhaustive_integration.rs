@@ -388,6 +388,117 @@ fn in_place_exploration_equals_forking_every_child() {
     );
 }
 
+/// FNV-1a-64 over the little-endian bytes of `values`, in order.
+fn fnv1a(values: &[u64]) -> u64 {
+    values
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// Explores `sim` with `check` and returns the report with the digest of
+/// every configuration handed to `check`, in order, root included: the
+/// FNV-1a-64 of their `config_fingerprint()` values. Also returns how many
+/// configurations `check` saw.
+fn search_order<P, O>(
+    sim: &Simulation<P, O>,
+    config: &ExploreConfig,
+    mut check: impl FnMut(&Simulation<P, O>) -> Result<(), String>,
+) -> (ExploreReport, u64, usize)
+where
+    P: Process,
+    P::Input: Clone,
+    P::Fd: std::hash::Hash,
+    O: Oracle<Sample = P::Fd> + Clone,
+{
+    let mut order = Vec::new();
+    let report = explore(sim, config, |s| {
+        order.push(s.config_fingerprint());
+        check(s)
+    });
+    (report, fnv1a(&order), order.len())
+}
+
+/// The check "at most `k` distinct decisions".
+fn at_most<P, O>(k: usize) -> impl FnMut(&Simulation<P, O>) -> Result<(), String>
+where
+    P: Process,
+    P::Fd: std::hash::Hash,
+    O: Oracle<Sample = P::Fd>,
+{
+    move |s| {
+        let d = distinct_decisions(s).len();
+        if d > k {
+            return Err(format!("{d} distinct decisions > {k}"));
+        }
+        Ok(())
+    }
+}
+
+#[test]
+fn search_order_is_pinned() {
+    // The pins above hold the set of states and the counters; these hold
+    // the order in which `check` sees the configurations, and with it every
+    // fingerprint value. On a truncated run the order also decides which
+    // configurations get expanded.
+    let config = |max_depth, max_states, branching| ExploreConfig {
+        max_depth,
+        max_states,
+        branching,
+    };
+    let two_stage = |n: usize, l: usize, plan: CrashPlan| -> Simulation<TwoStage, _> {
+        Simulation::new(two_stage_inputs(l, &distinct_proposals(n)), plan)
+    };
+
+    let n3 = two_stage(3, 2, CrashPlan::none());
+    let (report, digest, checked) =
+        search_order(&n3, &config(64, 400_000, Branching::PerSource), at_most(1));
+    assert!(report.verified(), "{report:?}");
+    assert_eq!(
+        (digest, checked, report.states_expanded),
+        (0xa49e_decc_6c88_94b1, 2263, 2263)
+    );
+    assert_eq!(counters(&report), (13800, 11538, 4194, 11, 31));
+
+    let late = two_stage(
+        3,
+        2,
+        CrashPlan::none().with_crash_after(pid(0), 3, Omission::All),
+    );
+    let (report, digest, checked) = search_order(
+        &late,
+        &config(64, 100_000, Branching::NoneOrAll),
+        |_| Ok(()),
+    );
+    assert!(report.verified(), "{report:?}");
+    assert_eq!((digest, checked), (0xd478_38f6_33ed_0011, 621));
+
+    let n4 = two_stage(4, 3, CrashPlan::none());
+    let (report, digest, checked) =
+        search_order(&n4, &config(128, 5_000, Branching::PerSource), at_most(1));
+    assert!(report.truncated && report.violation.is_none(), "{report:?}");
+    assert_eq!(report.states_expanded, 5_000);
+    assert_eq!(digest, 0x4bdc_3933_ef65_7d35, "{checked} checked");
+    assert_eq!(counters(&report), (43423, 38334, 14543, 21, 140));
+
+    let blocks: Vec<ProcessSet> = vec![[pid(0), pid(1), pid(2)].into(), [pid(3)].into()];
+    let oracle = PartitionSigmaOmega::new(4, blocks, Time::new(4), [pid(0), pid(1)].into());
+    let leader: Simulation<LeaderAdopt, _> =
+        Simulation::with_oracle(distinct_proposals(4), oracle, CrashPlan::none());
+    let (report, digest, _) = search_order(
+        &leader,
+        &config(10, 300_000, Branching::NoneOrAll),
+        at_most(2),
+    );
+    let violation = report.violation.as_ref().expect("a violation is reachable");
+    assert_eq!(
+        (digest, report.states_expanded, violation.path.len()),
+        (0xccb0_9838_2f1f_c11b, 7, 4)
+    );
+}
+
 /// A terminal configuration's outcome: every decision and every liveness.
 type Outcome = (Vec<Option<u64>>, Vec<bool>);
 
