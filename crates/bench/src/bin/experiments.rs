@@ -5,14 +5,15 @@
 //! cargo run --release -p kset-bench --bin experiments          # all tables
 //! cargo run --release -p kset-bench --bin experiments -- --e4  # one table
 //!
-//! # Sharded sweeps: run shard 1 of 3 of the border grid, streaming the
-//! # records into a self-describing shard file …
+//! # Sweep a whole catalog grid into a self-describing shard file; the
+//! # scale grid runs through its batch kernel, 16 same-shape cells at a
+//! # time …
+//! experiments sweep --grid scale --out scale.txt
+//! # … shard 1 of 3 of the border grid, on the same path …
 //! experiments sweep --grid border --shard 1/3 --out border-1.txt
-//! # … the sequential single-process reference of the same grid …
+//! # … the scalar single-process reference, cell by cell, which the
+//! # default path must reproduce byte for byte …
 //! experiments sweep --grid border --seq --out border-seq.txt
-//! # … the batched schedule: same-shape cells fused into
-//! # structure-of-arrays batches of 16, output byte-identical to --seq …
-//! experiments sweep --grid scale --batch 16 --out scale-batched.txt
 //! # … and merge the shards, verifying exact coverage and (optionally)
 //! # that the merged records equal an in-process sequential recompute.
 //! experiments merge --out merged.txt --check-against-sequential \
@@ -25,12 +26,14 @@
 //! ```
 //!
 //! The table flags are `--e1` … `--e7`; any other argument that is not a
-//! subcommand is a usage error (exit 2). The merged file is
-//! **byte-identical** to the sequential one whenever the shards cover the
-//! grid exactly — that identity is the shard-matrix conformance gate in
-//! CI. Multi-host runs use the same path: each host sweeps its shards,
-//! `merge` reassembles them, and `--resume` finishes a shard whose host
-//! died mid-range. Grid names resolve through
+//! subcommand is a usage error (exit 2). A sweep has two schedules: the
+//! default, [`SweepGrid::run_range`](kset_bench::sweeps::SweepGrid::run_range),
+//! which whole grids, shards and `--resume` all take, and `--seq`. The
+//! merged file is **byte-identical** to the sequential one whenever the
+//! shards cover the grid exactly — that identity is the shard-matrix
+//! conformance gate in CI. Multi-host runs use the same path: each host
+//! sweeps its shards, `merge` reassembles them, and `--resume` finishes a
+//! shard whose host died mid-range. Grid names resolve through
 //! [`kset_bench::sweeps`]; cells are citable as `(grid_seed, index)`.
 //!
 //! The table output is recorded in EXPERIMENTS.md; the "paper" columns are
@@ -66,9 +69,6 @@ const TABLES: [(&str, fn()); 7] = [
     ("--e6", e6_graph_lemmas),
     ("--e7", e7_discrete_event),
 ];
-
-/// In-flight results the streaming sweep writers hold at most.
-const WINDOW: usize = 64;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -368,7 +368,7 @@ fn usage(msg: &str) -> ! {
     eprintln!(
         "usage: experiments [{tables}]   (no flag: every table)\n\
          \u{20}      experiments sweep --grid <{names}> --out FILE \
-         [--grid-seed N] [--shard I/J] [--seq | --batch B]\n\
+         [--grid-seed N] [--shard I/J | --seq]\n\
          \u{20}      experiments sweep --resume FILE [--out FILE]\n\
          \u{20}      experiments merge --out FILE [--check-against-sequential] SHARD_FILE...",
         tables = TABLES.map(|(flag, _)| flag).join("] ["),
@@ -377,12 +377,13 @@ fn usage(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// `sweep`: run one shard of a catalog grid, streaming records to a
-/// self-describing shard file (`--seq` forces the single-threaded
-/// sequential reference pass instead of the streaming parallel runner —
-/// the files they write are byte-identical, which CI asserts; `--batch B`
-/// runs same-shape cells through the grid's structure-of-arrays kernel in
-/// batches of at most B lanes, again byte-identical).
+/// `sweep`: run one shard of a catalog grid (the whole grid unless
+/// `--shard I/J` names one) through
+/// [`SweepGrid::run_range`](kset_bench::sweeps::SweepGrid::run_range),
+/// writing each record to a self-describing shard file as it arrives.
+/// `--seq` runs the whole grid cell by cell instead: the scalar reference
+/// the grid's batch kernel is checked against. The files the two write
+/// are byte-identical, which tier-1 and CI assert.
 ///
 /// `--resume FILE` reads a partial `kset-sweep v2` shard file — every
 /// parameter (grid, seed, shard) comes from its header — recomputes
@@ -390,14 +391,13 @@ fn usage(msg: &str) -> ! {
 /// file (in place unless `--out` redirects), byte-identical to an
 /// uninterrupted sweep.
 fn sweep_cmd(args: &[String]) {
-    use kset_sim::sweep::ShardSpec;
+    use kset_sim::sweep::{CellRecord, ShardSpec};
 
     let mut grid_name: Option<String> = None;
     let mut grid_seed: u64 = 42;
     let mut shard = ShardSpec::FULL;
     let mut out: Option<String> = None;
     let mut seq = false;
-    let mut batch: Option<usize> = None;
     let mut resume: Option<String> = None;
     let mut explicit = Vec::new();
     let mut it = args.iter();
@@ -406,10 +406,7 @@ fn sweep_cmd(args: &[String]) {
             it.next()
                 .unwrap_or_else(|| usage(&format!("{flag} needs a value")))
         };
-        if matches!(
-            arg.as_str(),
-            "--grid" | "--grid-seed" | "--shard" | "--seq" | "--batch"
-        ) {
+        if matches!(arg.as_str(), "--grid" | "--grid-seed" | "--shard" | "--seq") {
             explicit.push(arg.as_str());
         }
         match arg.as_str() {
@@ -426,15 +423,6 @@ fn sweep_cmd(args: &[String]) {
             }
             "--out" => out = Some(value("--out").clone()),
             "--seq" => seq = true,
-            "--batch" => {
-                batch = Some(
-                    value("--batch")
-                        .parse()
-                        .ok()
-                        .filter(|&b: &usize| b > 0)
-                        .unwrap_or_else(|| usage("bad --batch: need an integer of at least 1")),
-                );
-            }
             "--resume" => resume = Some(value("--resume").clone()),
             other => usage(&format!("unknown sweep argument {other:?}")),
         }
@@ -456,34 +444,22 @@ fn sweep_cmd(args: &[String]) {
     if seq && !shard.is_full() {
         usage("--seq is the whole-grid reference pass; it cannot take --shard");
     }
-    if seq && batch.is_some() {
-        usage("--seq and --batch are different execution schedules; pick one");
-    }
     let grid = kset_bench::sweeps::grid(&grid_name, grid_seed).unwrap_or_else(|e| fail(e));
 
     let mut writer = ShardWriter::create(&out);
     writer.emit(&grid.header(shard).render());
     let mut records = 0usize;
-    let mode;
-    if seq {
-        mode = "sequential".to_string();
-        for record in grid.sweep_sequential() {
-            records += 1;
-            writer.emit(&format!("{}\n", record.render_line()));
-        }
-    } else if let Some(batch) = batch {
-        mode = format!("batched:{batch}");
-        for record in grid.sweep_shard_batched(shard, batch) {
-            records += 1;
-            writer.emit(&format!("{}\n", record.render_line()));
-        }
+    let mut write = |record: CellRecord| {
+        records += 1;
+        writer.emit(&format!("{}\n", record.render_line()));
+    };
+    let mode = if seq {
+        grid.sweep_sequential().into_iter().for_each(&mut write);
+        "sequential"
     } else {
-        mode = "streaming".to_string();
-        grid.sweep_shard_streaming(shard, WINDOW, |record| {
-            records += 1;
-            writer.emit(&format!("{}\n", record.render_line()));
-        });
-    }
+        grid.run_range(shard.range(grid.cells.len()), &mut write);
+        "default"
+    };
     writer.emit(&kset_sim::sweep::record::render_footer(records));
     let file_digest = writer.finish();
     println!(
@@ -557,8 +533,8 @@ fn resume_cmd(resume_path: &str, out: &str) {
     // file, and truncating it before the recompute finishes would destroy
     // exactly the work resuming exists to preserve. Write beside it and
     // rename into place only once the completed file is flushed (a plain
-    // `sweep` writes directly on purpose — its streamed partial IS the
-    // crash artifact; here the crash artifact already exists).
+    // `sweep` writes directly on purpose — its partial file IS the crash
+    // artifact; here the crash artifact already exists).
     let staging = format!("{out}.resume-tmp");
     let mut writer = ShardWriter::create(&staging);
     writer.emit(&header.render());
@@ -566,7 +542,7 @@ fn resume_cmd(resume_path: &str, out: &str) {
         writer.emit(&format!("{}\n", record.render_line()));
     }
     let mut records = resumed;
-    grid.sweep_range_streaming(owed, WINDOW, |record| {
+    grid.run_range(owed, |record| {
         records += 1;
         writer.emit(&format!("{}\n", record.render_line()));
     });

@@ -24,8 +24,15 @@
 //! Observations ride the `kset-sweep v2` record format; they must be pure
 //! functions of the cell (resume byte-identity depends on it), which the
 //! deterministic substrates guarantee.
+//!
+//! A grid runs one of two ways. [`SweepGrid::run_range`] is the default
+//! path: `experiments sweep` calls it for a whole grid, a shard and the
+//! owed tail of a partial file, and it uses the grid's batch kernel when
+//! the grid has one. [`SweepGrid::sweep_sequential`] is the scalar
+//! reference (`--seq`) that the kernel is checked against.
 
 use std::fmt;
+use std::ops::Range;
 
 use kset_core::algorithms::floodmin::{floodmin_batch, floodmin_rounds, FloodMin, FloodMinLane};
 use kset_core::sync::{LockStep, RoundCrash};
@@ -34,13 +41,16 @@ use kset_impossibility::theorem8::border_demo;
 use kset_impossibility::theorem8_border_cells;
 use kset_sim::observe::EventCounter;
 use kset_sim::sweep::{
-    scale_grid, sweep_batched, sweep_seq, sweep_streaming_ordered, CellRecord, GridCell,
-    Observation, ShardSpec, SweepHeader,
+    scale_grid, sweep, sweep_batched, sweep_seq, CellRecord, GridCell, Observation, ShardSpec,
+    SweepHeader,
 };
 use kset_sim::{stable_fingerprint, Engine, ProcessId};
 
 /// The grid names the catalog resolves (the CI matrix runs all of them).
 pub const GRID_NAMES: &[&str] = &["border", "scale"];
+
+/// Lanes per kernel batch on the default path ([`SweepGrid::run_range`]).
+const LANES: usize = 16;
 
 /// A named, seeded sweep grid: its cells and its digest semantics.
 pub struct SweepGrid {
@@ -57,10 +67,9 @@ pub struct SweepGrid {
     /// Optional structure-of-arrays kernel: the shape key two cells must
     /// share to ride one batch, and the batch observe function (one
     /// digest/observation pair per lane, in lane order, each identical to
-    /// what `observe` computes for that cell). Grids without a kernel —
-    /// or grids where no two cells share a shape — fall back to the
-    /// scalar path cell by cell, so `--batch` is a no-op there rather
-    /// than a failure.
+    /// what `observe` computes for that cell). Grids without a kernel run
+    /// cell by cell through `observe`; where no two cells share a shape,
+    /// the kernel runs single-lane batches.
     batch: Option<BatchKernel>,
 }
 
@@ -110,8 +119,8 @@ pub fn grid(name: &str, grid_seed: u64) -> Result<SweepGrid, UnknownGrid> {
             cells: theorem8_border_cells(grid_seed),
             observe: border_observe,
             // The pasted construction has no SoA kernel (and border cells
-            // rarely share a shape anyway): --batch falls back to the
-            // scalar path.
+            // rarely share a shape anyway): every path runs it cell by
+            // cell.
             batch: None,
         }),
         "scale" => Ok(SweepGrid {
@@ -160,53 +169,55 @@ impl SweepGrid {
         }
     }
 
-    /// Sweeps one shard, **streaming**: records flow to `emit` in cell
-    /// order as cells complete (at most `window` results in flight), so a
-    /// caller can write the shard file without materializing the shard.
+    /// Runs the cells of `range` (global indices) and hands each record
+    /// to `emit`, in cell order. This is the default path of `experiments
+    /// sweep`: a whole grid, one shard of it, and the owed tail of a
+    /// partial file all run through here.
+    ///
+    /// A grid with a kernel runs it in shape groups of 16 lanes (the body
+    /// of [`SweepGrid::sweep_shard_batched`]), so the range's records are
+    /// all computed before the first is emitted. A grid without one runs
+    /// cell by cell through [`SweepGrid::record`] and emits each record as
+    /// it is made. Either way each record equals what
+    /// [`SweepGrid::record`] computes for its cell, so a file written from
+    /// `run_range` is byte-identical to the sequential reference.
     ///
     /// # Panics
     ///
-    /// Panics if `window == 0` (the CLI passes a fixed window of 64;
-    /// library callers own the same contract).
+    /// Panics if `range` lies outside the grid.
+    pub fn run_range(&self, range: Range<usize>, emit: impl FnMut(CellRecord)) {
+        let cells = &self.cells[range];
+        if self.batch.is_some() {
+            self.batched(cells, LANES).into_iter().for_each(emit);
+        } else {
+            cells.iter().map(|cell| self.record(cell)).for_each(emit);
+        }
+    }
+
+    /// Sweeps one shard on every core and hands each record to `emit` in
+    /// cell order: the threaded [`sweep`] map over `window` cells per
+    /// call, so at most `window` results are in flight.
+    ///
+    /// No command runs this; `experiments sweep` calls
+    /// [`SweepGrid::run_range`]. It stays only for the traced `stream.*`
+    /// split of `perfbench`'s `sweep_scale.seq` workload, until the
+    /// benchmark change of ROADMAP direction 2, step 4 retires both.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window == 0`.
     pub fn sweep_shard_streaming(
         &self,
         shard: ShardSpec,
         window: usize,
         mut emit: impl FnMut(CellRecord),
     ) {
-        let slice = shard.slice(&self.cells);
-        sweep_streaming_ordered(
-            slice,
-            window,
-            |_, cell| self.record(cell),
-            |_, record| emit(record),
-        )
-        // kset-lint: allow(panic-in-library): documented panicking contract — window == 0 is a caller bug, surfaced per the # Panics section
-        .expect("window >= 1 is the caller's contract");
-    }
-
-    /// Sweeps exactly the cells of `range` (global indices), streaming
-    /// records in cell order — the resume path: a partial shard file
-    /// names its owed range and only that remainder is recomputed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` lies outside the grid or `window == 0`.
-    pub fn sweep_range_streaming(
-        &self,
-        range: std::ops::Range<usize>,
-        window: usize,
-        mut emit: impl FnMut(CellRecord),
-    ) {
-        let slice = &self.cells[range];
-        sweep_streaming_ordered(
-            slice,
-            window,
-            |_, cell| self.record(cell),
-            |_, record| emit(record),
-        )
-        // kset-lint: allow(panic-in-library): documented panicking contract — window == 0 is a caller bug, surfaced per the # Panics section
-        .expect("window >= 1 is the caller's contract");
+        assert!(window >= 1, "window must be at least 1");
+        for chunk in shard.slice(&self.cells).chunks(window) {
+            sweep(chunk, |_, cell| self.record(cell))
+                .into_iter()
+                .for_each(&mut emit);
+        }
     }
 
     /// Sweeps the **full** grid sequentially on one thread — the reference
@@ -216,7 +227,7 @@ impl SweepGrid {
     }
 
     /// Whether this grid registers a structure-of-arrays batch kernel
-    /// (grids without one run `--batch` on the scalar path).
+    /// (grids without one run every path cell by cell).
     pub fn supports_batching(&self) -> bool {
         self.batch.is_some()
     }
@@ -248,23 +259,29 @@ impl SweepGrid {
     /// lanes, and re-serialized in canonical cell order. Cell indices,
     /// seeds and record contents are invariant under batching, so the
     /// resulting records — and any shard file rendered from them — are
-    /// byte-identical to the streaming/sequential reference.
+    /// byte-identical to the sequential reference.
     ///
-    /// Grids without a kernel fall back to the scalar path (same records,
-    /// no fusion); a degenerate grid where no two cells share a shape
-    /// simply yields single-lane batches.
+    /// [`SweepGrid::run_range`] runs the same body at 16 lanes. Grids
+    /// without a kernel fall back to the scalar path (same records, no
+    /// fusion); a degenerate grid where no two cells share a shape simply
+    /// yields single-lane batches.
     ///
     /// # Panics
     ///
     /// Panics if `batch == 0`.
     pub fn sweep_shard_batched(&self, shard: ShardSpec, batch: usize) -> Vec<CellRecord> {
-        let slice = shard.slice(&self.cells);
+        self.batched(shard.slice(&self.cells), batch)
+    }
+
+    /// The body of [`SweepGrid::sweep_shard_batched`], over any run of
+    /// cells.
+    fn batched(&self, cells: &[GridCell], batch: usize) -> Vec<CellRecord> {
         let Some(kernel) = self.batch else {
             assert!(batch >= 1, "batch size must be at least 1");
-            return slice.iter().map(|cell| self.record(cell)).collect();
+            return cells.iter().map(|cell| self.record(cell)).collect();
         };
         sweep_batched(
-            slice,
+            cells,
             batch,
             |_, cell| (kernel.shape)(cell),
             |lanes| {
@@ -386,6 +403,26 @@ mod tests {
             for batch in [1, 3, 16] {
                 let batched = g.sweep_shard_batched(ShardSpec::FULL, batch);
                 assert_eq!(batched, reference, "grid {name} batch {batch}");
+            }
+        }
+    }
+
+    #[test]
+    fn streamed_shards_match_the_sequential_slice() {
+        for name in GRID_NAMES {
+            let g = grid(name, 42).unwrap();
+            let reference = g.sweep_sequential();
+            for window in [1, 5, 64] {
+                for i in 0..3 {
+                    let shard = ShardSpec::new(i, 3).unwrap();
+                    let mut got = Vec::new();
+                    g.sweep_shard_streaming(shard, window, |r| got.push(r));
+                    assert_eq!(
+                        got,
+                        shard.slice(&reference),
+                        "grid {name} window {window} shard {shard}"
+                    );
+                }
             }
         }
     }

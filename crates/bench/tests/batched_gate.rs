@@ -5,10 +5,16 @@
 //! batches that leave a ragged final chunk — the batched sweep must
 //! produce per-cell digests and `Observation` payloads identical to the
 //! one-at-a-time scalar path, and the rendered `kset-sweep v2` shard
-//! file must be **byte-identical** to the sequential reference. This is
-//! the in-process twin of the `cmp`-based CI leg in `sweep-shards.yml`.
+//! file must be **byte-identical** to the sequential reference. The
+//! default path, `SweepGrid::run_range`, runs the same kernel at 16 lanes
+//! over any range of cells, and must equal the matching slice of the
+//! sequential reference however the range cuts the grid. This is the
+//! in-process twin of the `cmp`-based CI leg in `sweep-shards.yml`.
+
+use std::ops::Range;
 
 use kset_bench::sweeps::{grid, GRID_NAMES};
+use kset_core::algorithms::floodmin::floodmin_rounds;
 use kset_sim::sweep::{cell_seed, GridCell, ShardFile, ShardSpec};
 
 const BATCHES: [usize; 4] = [1, 3, 8, 16];
@@ -107,6 +113,35 @@ fn ragged_final_batch_matches_per_cell_records() {
                 scalar[start..start + chunk.len()],
                 "batch {batch} chunk at {start}"
             );
+        }
+    }
+}
+
+#[test]
+fn run_range_matches_the_sequential_slice_over_any_range() {
+    for &name in GRID_NAMES {
+        let g = grid(name, 42).expect("catalog grid resolves");
+        let reference = g.sweep_sequential();
+        let total = reference.len();
+        // Empty ranges, a single cell and the full grid …
+        let mut ranges: Vec<Range<usize>> = vec![0..0, 4..4, total..total, 2..3, 0..total];
+        // … each range of a 3-shard partition …
+        ranges.extend((0..3).map(|i| ShardSpec::new(i, 3).unwrap().range(total)));
+        // … and a range that splits a shape group: `1..=j` holds cell j
+        // but not cell 0, the first member of j's group.
+        let shape = |c: &GridCell| (c.n, floodmin_rounds(c.f, c.k));
+        let j = (1..total).find(|&j| shape(&g.cells[j]) == shape(&g.cells[0]));
+        if name == "scale" {
+            assert!(
+                j.is_some(),
+                "the scale grid's first shape group has more cells"
+            );
+        }
+        ranges.extend(j.map(|j| 1..j + 1));
+        for range in ranges {
+            let mut got = Vec::new();
+            g.run_range(range.clone(), |r| got.push(r));
+            assert_eq!(got, reference[range.clone()], "grid {name} range {range:?}");
         }
     }
 }

@@ -1,7 +1,8 @@
 //! The shard-matrix CI gate, in-process: for every catalog grid, a 3-way
-//! shard partition swept through the streaming runner and merged from the
-//! text format must reproduce the sequential single-process sweep **byte
-//! for byte** — and withholding a shard must fail the merge loudly. The
+//! shard partition swept through `SweepGrid::run_range` (the path
+//! `experiments sweep --shard I/J` takes) and merged from the text format
+//! must reproduce the sequential single-process sweep **byte for byte** —
+//! and withholding a shard must fail the merge loudly. The
 //! kill-and-resume gate rides along: any truncation of a shard file must
 //! resume — recomputing only the owed cells — to those same bytes.
 //!
@@ -10,23 +11,25 @@
 //! job on the release binary); this test keeps the gate honest without a
 //! CI round-trip.
 
-use kset_bench::sweeps::{grid, GRID_NAMES};
+use kset_bench::sweeps::{grid, SweepGrid, GRID_NAMES};
 use kset_sim::sweep::{merge, MergeError, PartialShardFile, ShardFile, ShardSpec};
 
 const SHARDS: usize = 3;
 
+/// Shard `spec` of `g`, swept through `run_range` as the CLI sweeps it.
+fn shard_file(g: &SweepGrid, spec: ShardSpec) -> ShardFile {
+    let mut records = Vec::new();
+    g.run_range(spec.range(g.cells.len()), |r| records.push(r));
+    ShardFile {
+        header: g.header(spec),
+        records,
+    }
+}
+
 fn shard_files(name: &str) -> (Vec<ShardFile>, ShardFile) {
     let g = grid(name, 42).expect("catalog grid");
     let files: Vec<ShardFile> = (0..SHARDS)
-        .map(|i| {
-            let spec = ShardSpec::new(i, SHARDS).unwrap();
-            let mut records = Vec::new();
-            g.sweep_shard_streaming(spec, 4, |r| records.push(r));
-            ShardFile {
-                header: g.header(spec),
-                records,
-            }
-        })
+        .map(|i| shard_file(&g, ShardSpec::new(i, SHARDS).unwrap()))
         .collect();
     let sequential = ShardFile {
         header: g.header(ShardSpec::FULL),
@@ -88,14 +91,7 @@ fn killed_sweeps_resume_to_identical_bytes() {
     // partial must rebuild the uninterrupted file byte for byte. This is
     // the in-process form of the CI kill-and-resume job.
     let g = grid("border", 42).expect("catalog grid");
-    let spec = ShardSpec::new(1, 2).unwrap();
-    let mut records = Vec::new();
-    g.sweep_shard_streaming(spec, 4, |r| records.push(r));
-    let full = ShardFile {
-        header: g.header(spec),
-        records,
-    };
-    let reference = full.render();
+    let reference = shard_file(&g, ShardSpec::new(1, 2).unwrap()).render();
 
     // Every cut position: after the header, after each record line, and a
     // mid-line tear inside each record line.
@@ -113,7 +109,7 @@ fn killed_sweeps_resume_to_identical_bytes() {
             let partial = PartialShardFile::parse(&reference[..cut])
                 .unwrap_or_else(|e| panic!("cut at byte {cut} (line {i}): {e}"));
             let mut resumed = partial.records.clone();
-            g.sweep_range_streaming(partial.owed(), 4, |r| resumed.push(r));
+            g.run_range(partial.owed(), |r| resumed.push(r));
             let rebuilt = ShardFile {
                 header: partial.header,
                 records: resumed,
@@ -131,15 +127,7 @@ fn killed_sweeps_resume_to_identical_bytes() {
 fn grids_under_different_seeds_do_not_mix() {
     let a = grid("scale", 42).unwrap();
     let b = grid("scale", 43).unwrap();
-    let file = |g: &kset_bench::sweeps::SweepGrid, i| {
-        let spec = ShardSpec::new(i, 2).unwrap();
-        let mut records = Vec::new();
-        g.sweep_shard_streaming(spec, 4, |r| records.push(r));
-        ShardFile {
-            header: g.header(spec),
-            records,
-        }
-    };
+    let file = |g, i| shard_file(g, ShardSpec::new(i, 2).unwrap());
     assert!(matches!(
         merge(&[file(&a, 0), file(&b, 1)]),
         Err(MergeError::GridMismatch { .. })

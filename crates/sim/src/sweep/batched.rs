@@ -17,8 +17,11 @@
 //!
 //! Degenerate grids are not an error: a grid where no two cells share a
 //! shape simply yields single-lane batches — the driver is a no-op
-//! reordering, not a failure (`--batch` on such a grid just runs the
-//! kernel at B = 1).
+//! reordering, not a failure.
+//!
+//! `kset-bench`'s `SweepGrid::run_range`, the default path of `experiments
+//! sweep`, drives the catalog's FloodMin kernel through this function at
+//! 16 lanes per batch, over whatever range of cells it is given.
 //!
 //! # Examples
 //!

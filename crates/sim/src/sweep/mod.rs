@@ -24,9 +24,6 @@
 //! * [`ShardSpec`] ([`shard`]) — deterministic, validated cell→shard
 //!   assignment as contiguous ranges over the emitted index space; cell
 //!   indices and seeds are globally stable regardless of shard count.
-//! * [`sweep_streaming_ordered`] ([`stream`]) — the bounded-memory
-//!   runner delivering `(index, result)` to a sink in cell order as cells
-//!   complete, instead of materializing the grid.
 //! * [`CellRecord`] / [`ShardFile`] / [`merge`] ([`record`]) — the
 //!   plain-text per-shard result format and its coverage-checked merge,
 //!   whose output is byte-identical to a sequential sweep's.
@@ -34,6 +31,13 @@
 //!   same-shape cells run as one structure-of-arrays kernel invocation,
 //!   with results scattered back into canonical cell order (so records
 //!   stay byte-identical to the sequential reference).
+//!
+//! The catalog grids of `kset-bench` run on top of these: its
+//! `SweepGrid::run_range` runs a range of cells through the batch kernel
+//! (or cell by cell when a grid has none) and hands each record to a sink
+//! in cell order, which is how `experiments sweep` writes whole grids,
+//! shards and resumed files alike. [`sweep`] is the one threaded map; the
+//! paper tables use it.
 //!
 //! # Examples
 //!
@@ -55,7 +59,6 @@ use crate::ids::{CapacityError, ProcessSet};
 pub mod batched;
 pub mod record;
 pub mod shard;
-pub mod stream;
 
 pub use batched::sweep_batched;
 pub use record::{
@@ -63,7 +66,6 @@ pub use record::{
     ShardFile, SweepHeader,
 };
 pub use shard::{ShardError, ShardSpec};
-pub use stream::{sweep_streaming_ordered, StreamError};
 
 /// One cell of an `(n, f, k)` scale grid, with its deterministic seed.
 ///

@@ -1,8 +1,8 @@
-//! Property tests for the shard/stream/merge layer: for arbitrary grids
-//! and any shard count, the shards are disjoint, their union is the full
-//! grid, cell indices and seeds match the unsharded emission exactly, and
-//! merging per-shard streaming result files reproduces the sequential
-//! sweep byte for byte.
+//! Property tests for the shard/merge layer: for arbitrary grids and any
+//! shard count, the shards are disjoint, their union is the full grid,
+//! cell indices and seeds match the unsharded emission exactly, and
+//! merging per-shard result files swept on the threaded map reproduces
+//! the sequential sweep byte for byte.
 //!
 //! This is the contract the shard-matrix CI gate leans on: sharding is a
 //! pure *partition* of the emitted index space — it renumbers nothing,
@@ -11,8 +11,7 @@
 use proptest::prelude::*;
 
 use kset_sim::sweep::{
-    cell_seed, merge, scale_grid, sweep_seq, sweep_streaming_ordered, CellRecord, GridCell,
-    ShardFile, ShardSpec,
+    cell_seed, merge, scale_grid, sweep, sweep_seq, CellRecord, GridCell, ShardFile, ShardSpec,
 };
 
 /// Builds a duplicate-free axis from a raw draw (values are offsets into a
@@ -69,7 +68,7 @@ proptest! {
         prop_assert_eq!(rebuilt, cells);
     }
 
-    /// Merging the per-shard `sweep_streaming_ordered` outputs equals
+    /// Merging the per-shard outputs of the threaded `sweep` map equals
     /// `sweep_seq` of the full grid — as records, and byte-for-byte as
     /// files.
     #[test]
@@ -78,7 +77,6 @@ proptest! {
         fs_raw in proptest::collection::vec(0usize..6, 1..3),
         grid_seed in 0u64..1_000_000,
         shard_count in 1usize..7,
-        window in 1usize..9,
     ) {
         let ns = axis(&ns_raw, 3);
         let fs = axis(&fs_raw, 0);
@@ -97,10 +95,8 @@ proptest! {
         };
         let mut shard_files = Vec::new();
         for (spec, slice) in partition(&cells, shard_count) {
-            // Stream each shard through a bounded window, in cell order.
-            let mut records = Vec::with_capacity(slice.len());
-            sweep_streaming_ordered(slice, window, |_, c| CellRecord::new(c, digest(c)),
-                |_, r| records.push(r)).unwrap();
+            // Sweep each shard on every core; records come back in cell order.
+            let records = sweep(slice, |_, c| CellRecord::new(c, digest(c)));
             shard_files.push(ShardFile { header: header(grid_seed, total, spec), records });
         }
         // Every shard file round-trips through the text format.

@@ -169,12 +169,10 @@ fn scale_grid_rejects_duplicate_axis_values() {
 #[test]
 fn sharded_streaming_floodmin_merges_to_sequential() {
     // The CI shard-matrix gate on the real lock-step workload, in one
-    // process: shard the grid three ways, stream each shard in bounded
-    // memory, round-trip the records through the text format, merge — and
+    // process: shard the grid three ways, sweep each shard on the threaded
+    // map, round-trip the records through the text format, merge — and
     // the merged file must be byte-identical to the sequential sweep's.
-    use kset::sim::sweep::{
-        merge, sweep_streaming_ordered, CellRecord, ShardFile, ShardSpec, SweepHeader,
-    };
+    use kset::sim::sweep::{merge, CellRecord, ShardFile, ShardSpec, SweepHeader};
     let grid = scale_grid(&[64, 256], &[2, 3], &[1], 42).expect("valid axes");
     let digest = |cell: &GridCell| fingerprint(&run_floodmin_cell(cell));
     let header =
@@ -186,17 +184,9 @@ fn sharded_streaming_floodmin_merges_to_sequential() {
     let shards: Vec<ShardFile> = (0..3)
         .map(|i| {
             let spec = ShardSpec::new(i, 3).unwrap();
-            let mut records = Vec::new();
-            sweep_streaming_ordered(
-                spec.slice(&grid),
-                2,
-                |_, c| CellRecord::new(c, digest(c)),
-                |_, r| records.push(r),
-            )
-            .unwrap();
             let file = ShardFile {
                 header: header(spec),
-                records,
+                records: sweep(spec.slice(&grid), |_, c| CellRecord::new(c, digest(c))),
             };
             ShardFile::parse(&file.render()).expect("round-trips")
         })
