@@ -1,9 +1,9 @@
 //! Scenario adapters for the round-level substrate, and the differential
-//! harness over both substrates.
+//! harness over the three substrates.
 //!
 //! `kset-sim`'s [`Scenario`] is the declarative layer: one value that
-//! compiles to either execution substrate. This module supplies the
-//! round-level half and the machinery that makes the pair testable:
+//! compiles to every execution substrate. This module supplies the
+//! round-level half and the machinery that makes them testable:
 //!
 //! * [`ScenarioRounds`] — round-based algorithms (FloodMin) constructible
 //!   from a scenario; [`to_lockstep`] compiles a scenario to a
@@ -17,11 +17,13 @@
 //!   equivalent to the round executor — and the step-level crash plan's
 //!   final-step send omission lands exactly on the round message the
 //!   round-level crash partially delivers.
-//! * [`differential`] — drives both compilations of one scenario through
-//!   the [`Engine`] trait and compares decisions, k-Agreement and
-//!   termination, reporting divergences instead of panicking (under
-//!   asynchronous schedule families divergence is the *expected* outcome —
-//!   the paper's border, observed differentially).
+//! * [`differential`] — drives the step-level and round-level
+//!   compilations of one scenario, plus the discrete-event engine's timed
+//!   replay of its lock-step projection, through the [`Engine`] trait and
+//!   compares decisions, k-Agreement and termination, reporting
+//!   divergences instead of panicking (under asynchronous schedule
+//!   families divergence is the *expected* outcome — the paper's border,
+//!   observed differentially).
 //!
 //! [`Simulation`]: kset_sim::Simulation
 //! [`Engine`]: kset_sim::Engine
@@ -237,7 +239,7 @@ pub mod differential {
     use std::hash::Hash;
 
     use kset_sim::observe::{NoObserver, Observer};
-    use kset_sim::{Engine, ProcessId, Scenario, ScenarioError};
+    use kset_sim::{Engine, ProcessId, Scenario, ScenarioError, ScheduleFamily};
 
     use super::{to_lockstep, RoundAdapter, ScenarioRounds};
     use crate::task::Val;
@@ -352,8 +354,9 @@ pub mod differential {
         pub sim: SubstrateOutcome,
         /// The round-level outcome.
         pub lockstep: SubstrateOutcome,
-        /// The discrete-event outcome (the unit→time embedding of the
-        /// scenario's schedule family).
+        /// The discrete-event outcome: the scenario's lock-step projection
+        /// replayed on the timed engine at fixed latency 1 (one unit per
+        /// process step).
         pub des: SubstrateOutcome,
         /// Every observed disagreement (empty = substrates agree). Both
         /// pairings are recorded: step-vs-round in the `sim`-carrying
@@ -369,17 +372,19 @@ pub mod differential {
     }
 
     /// Compiles `scenario` to all three substrates — step-level, round
-    /// executor, and the discrete-event engine's unit→time embedding —
-    /// drives each through the [`Engine`] trait, and compares decision
-    /// values, per-process decisions of correct processes, k-Agreement,
-    /// and termination (each non-reference substrate against the
-    /// round-level reference).
+    /// executor, and the discrete-event engine — drives each through the
+    /// [`Engine`] trait, and compares decision values, per-process
+    /// decisions of correct processes, k-Agreement, and termination (each
+    /// non-reference substrate against the round-level reference).
     ///
     /// Divergence is *reported*, never fatal: under asynchronous schedule
     /// families the step-level run legitimately sees incomplete round
     /// inboxes and the report flags the resulting disagreements. The
-    /// embedded discrete-event run replays the step-level schedule
-    /// exactly, so its divergences always mirror the step substrate's.
+    /// discrete-event leg runs the scenario's lock-step projection
+    /// ([`Scenario::to_des`] at fixed latency 1), which, like the round
+    /// executor, does not depend on the unit schedule family; it is an
+    /// independent check of the round executor, not a replay of the step
+    /// substrate's schedule.
     ///
     /// The natively timed family
     /// ([`ScheduleFamily::Timed`](kset_sim::ScheduleFamily)) has no
@@ -429,7 +434,10 @@ pub mod differential {
         lockstep_engine.drive_observed(scenario.rounds as u64, lockstep_obs);
         let lockstep = outcome(&lockstep_engine, correct);
 
-        let mut des_engine = scenario.to_des::<RoundAdapter<P>>()?;
+        let lock_step = scenario
+            .clone()
+            .with_schedule(ScheduleFamily::LockStepRounds);
+        let mut des_engine = lock_step.to_des::<RoundAdapter<P>>()?;
         des_engine.drive_observed(scenario.max_units, des_obs);
         let des = outcome(&des_engine, correct);
 
@@ -596,6 +604,32 @@ mod tests {
         assert!(report.sim.terminated && report.lockstep.terminated);
         assert_eq!(report.sim.decisions, report.lockstep.decisions);
         assert!(report.sim.k_agreement(sc.k));
+    }
+
+    #[test]
+    fn timed_engine_is_done_under_a_planned_crash() {
+        // p0 crashes in round 1 to nobody. The timed engine must count the
+        // crash plan's victim out of `done`, as the step substrate does,
+        // instead of running until its heap drains.
+        use kset_sim::des::{DesEngine, Latency};
+        use kset_sim::StopReason;
+
+        let sc = Scenario::favourable(4, 1, 1).with_crash(ScenarioCrash {
+            pid: pid(0),
+            round: 1,
+            receivers: ProcessSet::new(),
+        });
+        let sim = sc
+            .to_simulation::<RoundAdapter<FloodMin>>()
+            .expect("valid scenario");
+        let mut engine = DesEngine::timed(sim, Latency::fixed(1), 0, 0);
+        let status = engine.drive(sc.max_units);
+        assert_eq!(status.stop, StopReason::AllCorrectDecided);
+        assert_eq!(status.steps, 10, "4 first steps, then 3 per round");
+        assert!(engine.done());
+        let decisions = engine.decisions();
+        assert_eq!(decisions[0], None);
+        assert!(decisions[1..].iter().all(Option::is_some));
     }
 
     #[test]

@@ -67,9 +67,9 @@
 //! point, proposals, round-oriented crash description, schedule family,
 //! detector choice) compiles to *any* substrate —
 //! [`sim::Scenario::to_sim`] on the step side,
-//! [`sim::Scenario::to_des`] on the discrete-event side (unit families
-//! run under a unit→time embedding; the time-native
-//! `ScheduleFamily::Timed` family compiles *only* here), and
+//! [`sim::Scenario::to_des`] on the discrete-event side (the lock-step
+//! family runs at fixed latency 1, which walks the round cadence; the
+//! time-native `ScheduleFamily::Timed` family compiles *only* here), and
 //! [`core::scenario::to_lockstep`] (via [`core::scenario::RoundAdapter`])
 //! on the round side — and
 //! [`core::scenario::differential::check`] compares the three runs

@@ -222,13 +222,44 @@ fn followed_by(masked: &str, end: usize, want: u8) -> bool {
 }
 
 /// Whether `at` is directly preceded by the path `prefix` (e.g.
-/// `Simulation::`), ignoring nothing — qualified-call matching is exact.
+/// `Simulation::`), either exactly or with one turbofish argument list
+/// between the type and the method (`Simulation::<P, O>::`). Nothing else
+/// is skipped — qualified-call matching is exact.
 fn preceded_by_path(masked: &str, at: usize, prefix: &str) -> bool {
-    at >= prefix.len() && {
-        let start = at - prefix.len();
-        let glued_ident = start > 0 && crate::lexer::is_ident_byte(masked.as_bytes()[start - 1]);
-        &masked[start..at] == prefix && !glued_ident
+    let bytes = masked.as_bytes();
+    let ends_at = |end: usize| {
+        end >= prefix.len() && {
+            let start = end - prefix.len();
+            let glued_ident = start > 0 && crate::lexer::is_ident_byte(bytes[start - 1]);
+            bytes.get(start..end) == Some(prefix.as_bytes()) && !glued_ident
+        }
+    };
+    ends_at(at) || turbofish_start(bytes, at).is_some_and(ends_at)
+}
+
+/// The offset of the `<` that opens a turbofish argument list ending right
+/// before `at` as `…>::`, or `None`. Nested brackets are balanced; the walk
+/// stops at a statement or block boundary.
+fn turbofish_start(bytes: &[u8], at: usize) -> Option<usize> {
+    let close = at.checked_sub(3)?;
+    if bytes.get(close..at) != Some(b">::".as_slice()) {
+        return None;
     }
+    let mut depth = 0usize;
+    for i in (0..=close).rev() {
+        match bytes[i] {
+            b'>' => depth += 1,
+            b'<' => {
+                depth -= 1;
+                if depth == 0 {
+                    return Some(i);
+                }
+            }
+            b';' | b'{' | b'}' => return None,
+            _ => {}
+        }
+    }
+    None
 }
 
 // ---------------------------------------------------------------------------
@@ -268,6 +299,7 @@ fn observer_bypass_hits(scanned: &ScannedFile, hits: &mut Vec<(usize, &'static s
     const DRIVERS: &[&str] = &[
         "step",
         "step_observed",
+        "step_routed",
         "step_undoable",
         "execute_round",
         "execute_round_observed",

@@ -121,8 +121,12 @@ fn unchecked_capacity_fires_at_expected_lines() {
         vec![
             (rules::UNCHECKED_CAPACITY, 4, Status::Violation),
             (rules::UNCHECKED_CAPACITY, 16, Status::Allowed),
+            (rules::UNCHECKED_CAPACITY, 20, Status::Violation),
+            (rules::UNCHECKED_CAPACITY, 25, Status::Allowed),
         ],
-        "expected full() at 4, allowed singleton() at 16; try_full and the \
+        "expected full() at 4, allowed singleton() at 16, the turbofish \
+         with_oracle() at 20 and the allowed nested turbofish new() at 25; \
+         try_full, try_new, another type's turbofish new() and the \
          comment/string/test occurrences must not fire: {diags:#?}"
     );
 }

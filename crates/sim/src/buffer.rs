@@ -18,7 +18,7 @@
 //! layout replaces the former `BTreeMap<ProcessId, VecDeque>` with direct
 //! indexing on the receive hot path.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use crate::ids::{MsgId, ProcessId, ProcessSet};
 use crate::message::Envelope;
@@ -137,24 +137,31 @@ impl<M> Buffer<M> {
     }
 
     /// Removes and returns the messages with the given ids, in the order the
-    /// ids are listed. Ids not present in the buffer are silently skipped.
+    /// ids are listed (a repeated id counts at its first position). Ids not
+    /// present in the buffer are silently skipped; the remaining messages
+    /// keep their per-source send order.
     pub fn take_ids(&mut self, ids: &[MsgId]) -> Vec<Envelope<M>> {
-        let wanted: BTreeSet<MsgId> = ids.iter().copied().collect();
-        let mut extracted: BTreeMap<MsgId, Envelope<M>> = BTreeMap::new();
+        // Each wanted id with its first position in `ids`, sorted by id.
+        let mut firsts: Vec<(MsgId, usize)> = ids.iter().copied().zip(0..).collect();
+        firsts.sort_unstable();
+        firsts.dedup_by_key(|&mut (id, _)| id);
+        let mut taken: Vec<(usize, Envelope<M>)> = Vec::with_capacity(firsts.len());
         for queue in &mut self.by_src {
-            let mut kept = VecDeque::with_capacity(queue.len());
-            for env in queue.drain(..) {
-                if wanted.contains(&env.id) {
-                    extracted.insert(env.id, env);
-                } else {
-                    kept.push_back(env);
+            if taken.len() == firsts.len() {
+                break;
+            }
+            // Rotate the queue once, setting the wanted messages aside.
+            for _ in 0..queue.len() {
+                let Some(env) = queue.pop_front() else { break };
+                match firsts.binary_search_by_key(&env.id, |&(id, _)| id) {
+                    Ok(i) => taken.push((firsts[i].1, env)),
+                    Err(_) => queue.push_back(env),
                 }
             }
-            *queue = kept;
         }
-        self.len -= extracted.len();
-        // Return in the caller's requested order.
-        ids.iter().filter_map(|id| extracted.remove(id)).collect()
+        self.len -= taken.len();
+        taken.sort_unstable_by_key(|&(first, _)| first);
+        taken.into_iter().map(|(_, env)| env).collect()
     }
 
     /// Ids of all pending messages, ordered by (source, send order).

@@ -6,39 +6,34 @@
 //! simulation or each other directly — the engine owns all cross-component
 //! effects — so each one is a small, independently testable state machine.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, VecDeque};
 
 use super::{ComponentId, VirtualTime};
 use crate::ids::{MsgId, ProcessId};
-use crate::sched::Scheduler;
 
 /// An effect requested by a ticking [`Component`], applied by the engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Action {
     /// Run one atomic step of the process, delivering whatever messages
-    /// the fabric has released to it (timed mode).
+    /// the fabric has released to it.
     StepProcess(ProcessId),
-    /// Burn one unit of the embedded scheduler (embedded mode).
-    SchedulerUnit,
     /// The fabric released an in-flight message: make it deliverable and
-    /// wake its destination (timed mode).
+    /// wake its destination.
     Deliver {
         /// The destination process.
         dst: ProcessId,
         /// The released message.
         id: MsgId,
     },
-    /// The crash schedule struck: the process takes no further steps
-    /// (timed mode).
+    /// The crash schedule struck: the process takes no further steps.
     Crash(ProcessId),
     /// The detector cadence pulsed: wake every alive, undecided process
-    /// for a failure-detector sampling step (timed mode).
+    /// for a failure-detector sampling step.
     Pulse,
 }
 
 /// One participant in the discrete-event loop: a process clock, the link
-/// fabric, the crash schedule, the detector cadence, or the embedded unit
-/// clock.
+/// fabric, the crash schedule or the detector cadence.
 ///
 /// The contract with the engine:
 ///
@@ -72,7 +67,8 @@ pub trait Component {
 pub struct ProcClock {
     id: ComponentId,
     pid: ProcessId,
-    agenda: BTreeSet<VirtualTime>,
+    /// Pending wake times, ascending and distinct.
+    agenda: Vec<VirtualTime>,
 }
 
 impl ProcClock {
@@ -81,14 +77,20 @@ impl ProcClock {
         ProcClock {
             id,
             pid,
-            agenda: BTreeSet::new(),
+            agenda: Vec::new(),
         }
     }
 
     /// Schedules a wake-up at `at`; returns whether it is new. The caller
     /// pushes the matching heap entry.
     pub fn wake_at(&mut self, at: VirtualTime) -> bool {
-        self.agenda.insert(at)
+        match self.agenda.binary_search(&at) {
+            Ok(_) => false,
+            Err(i) => {
+                self.agenda.insert(i, at);
+                true
+            }
+        }
     }
 
     /// Drops the whole agenda (the process crashed).
@@ -107,23 +109,21 @@ impl Component for ProcClock {
     }
 
     fn tick(&mut self, now: VirtualTime, actions: &mut Vec<Action>) {
-        let later = self.agenda.split_off(&now.next());
-        let due = !self.agenda.is_empty();
-        self.agenda = later;
-        if due {
+        let due = self.agenda.partition_point(|&at| at <= now);
+        self.agenda.drain(..due);
+        if due > 0 {
             actions.push(Action::StepProcess(self.pid));
         }
     }
 }
 
-/// The link fabric: every in-flight message keyed by its arrival instant
-/// (plus a routing slot so same-instant arrivals release in routing
-/// order). Ticking releases everything that has arrived.
+/// The link fabric: every in-flight message, bucketed by arrival instant
+/// (earliest first) and in routing order within an instant. Ticking
+/// releases everything that has arrived.
 #[derive(Debug, Clone, Default)]
 pub struct LinkFabric {
     id: ComponentId,
-    in_flight: BTreeMap<(VirtualTime, u64), (ProcessId, MsgId)>,
-    next_slot: u64,
+    buckets: VecDeque<(VirtualTime, Vec<(ProcessId, MsgId)>)>,
 }
 
 impl LinkFabric {
@@ -131,22 +131,29 @@ impl LinkFabric {
     pub fn new(id: ComponentId) -> Self {
         LinkFabric {
             id,
-            in_flight: BTreeMap::new(),
-            next_slot: 0,
+            buckets: VecDeque::new(),
         }
     }
 
-    /// Puts message `id` for `dst` in flight, arriving at `at`. The
-    /// caller pushes the matching heap entry.
-    pub fn route(&mut self, at: VirtualTime, dst: ProcessId, id: MsgId) {
-        let slot = self.next_slot;
-        self.next_slot += 1;
-        self.in_flight.insert((at, slot), (dst, id));
+    /// Puts message `id` for `dst` in flight, arriving at `at`. Returns
+    /// whether `at` is a new arrival instant: the caller pushes one heap
+    /// entry per instant, not one per message.
+    pub fn route(&mut self, at: VirtualTime, dst: ProcessId, id: MsgId) -> bool {
+        match self.buckets.binary_search_by_key(&at, |&(t, _)| t) {
+            Ok(i) => {
+                self.buckets[i].1.push((dst, id));
+                false
+            }
+            Err(i) => {
+                self.buckets.insert(i, (at, vec![(dst, id)]));
+                true
+            }
+        }
     }
 
     /// Messages still in flight.
     pub fn in_flight(&self) -> usize {
-        self.in_flight.len()
+        self.buckets.iter().map(|(_, bucket)| bucket.len()).sum()
     }
 }
 
@@ -156,13 +163,18 @@ impl Component for LinkFabric {
     }
 
     fn next_tick(&self) -> Option<VirtualTime> {
-        self.in_flight.keys().next().map(|&(at, _)| at)
+        self.buckets.front().map(|&(at, _)| at)
     }
 
     fn tick(&mut self, now: VirtualTime, actions: &mut Vec<Action>) {
-        let later = self.in_flight.split_off(&(now.next(), 0));
-        for ((_, _), (dst, id)) in std::mem::replace(&mut self.in_flight, later) {
-            actions.push(Action::Deliver { dst, id });
+        while self.buckets.front().is_some_and(|&(at, _)| at <= now) {
+            if let Some((_, bucket)) = self.buckets.pop_front() {
+                actions.extend(
+                    bucket
+                        .into_iter()
+                        .map(|(dst, id)| Action::Deliver { dst, id }),
+                );
+            }
         }
     }
 }
@@ -260,63 +272,6 @@ impl Component for DetectorCadence {
     }
 }
 
-/// The embedded-mode unit clock: wakes at `t = 1, 2, 3, …`, burning one
-/// unit of the wrapped scheduler per tick. The engine re-arms it only
-/// while the scheduler keeps producing moves, so an exhausted scheduler
-/// drains the heap — the unit→time embedding of every existing schedule
-/// family.
-pub struct UnitClock<M> {
-    id: ComponentId,
-    sched: Box<dyn Scheduler<M>>,
-    next: Option<VirtualTime>,
-}
-
-impl<M> UnitClock<M> {
-    /// Wraps `sched`; the engine arms the first wake-up when priming.
-    pub fn new(id: ComponentId, sched: Box<dyn Scheduler<M>>) -> Self {
-        UnitClock {
-            id,
-            sched,
-            next: None,
-        }
-    }
-
-    /// Schedules the next unit at `at`. The caller pushes the matching
-    /// heap entry.
-    pub fn rearm(&mut self, at: VirtualTime) {
-        self.next = Some(at);
-    }
-
-    /// The wrapped scheduler, for the engine to consult.
-    pub fn scheduler_mut(&mut self) -> &mut dyn Scheduler<M> {
-        &mut *self.sched
-    }
-}
-
-impl<M> std::fmt::Debug for UnitClock<M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("UnitClock")
-            .field("id", &self.id)
-            .field("next", &self.next)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<M> Component for UnitClock<M> {
-    fn id(&self) -> ComponentId {
-        self.id
-    }
-
-    fn next_tick(&self) -> Option<VirtualTime> {
-        self.next
-    }
-
-    fn tick(&mut self, _now: VirtualTime, actions: &mut Vec<Action>) {
-        self.next = None;
-        actions.push(Action::SchedulerUnit);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -352,9 +307,12 @@ mod tests {
     #[test]
     fn fabric_releases_arrivals_in_routing_order() {
         let mut fabric = LinkFabric::new(ComponentId::new(0));
-        fabric.route(VirtualTime::new(5), ProcessId::new(2), MsgId::new(10));
-        fabric.route(VirtualTime::new(3), ProcessId::new(1), MsgId::new(11));
-        fabric.route(VirtualTime::new(5), ProcessId::new(0), MsgId::new(12));
+        assert!(fabric.route(VirtualTime::new(5), ProcessId::new(2), MsgId::new(10)));
+        assert!(fabric.route(VirtualTime::new(3), ProcessId::new(1), MsgId::new(11)));
+        assert!(
+            !fabric.route(VirtualTime::new(5), ProcessId::new(0), MsgId::new(12)),
+            "t5 already has a heap entry"
+        );
         assert_eq!(fabric.next_tick(), Some(VirtualTime::new(3)));
         assert_eq!(fabric.in_flight(), 3);
         assert_eq!(

@@ -2,106 +2,33 @@
 //!
 //! This file is an *observer home*: it is the one place (beside
 //! `engine.rs` and `kset-core`'s `sync.rs`) allowed to call the raw step
-//! drivers — every process step still flows through
-//! [`Simulation::step_observed`], so the unified event stream is emitted
-//! here and nowhere rebuilt.
+//! drivers — every process step flows through
+//! [`Simulation::step_routed`], the [`Simulation::step_observed`] step
+//! body plus the list of messages the step buffered, so the unified event
+//! stream is emitted here and nowhere rebuilt.
 
-use super::component::{
-    Action, Component, CrashSchedule, DetectorCadence, LinkFabric, ProcClock, UnitClock,
-};
+use super::component::{Action, Component, CrashSchedule, DetectorCadence, LinkFabric, ProcClock};
 use super::{ComponentId, EventHeap, Latency, VirtualTime};
 use crate::engine::{Engine, RunReport, Simulation, StopReason};
 use crate::ids::{MsgId, ProcessId, ProcessSet};
-use crate::observe::{
-    CrashEvent, DecideEvent, DeliverEvent, FdSampleEvent, HaltEvent, NoObserver, Observer,
-    RoundEvent, SendEvent, StepEvent,
-};
+use crate::observe::{CrashEvent, NoObserver, Observer};
 use crate::oracle::Oracle;
 use crate::process::Process;
-use crate::sched::{Delivery, Scheduler};
+use crate::sched::Delivery;
 
-/// Observer combinator: forwards every event to `inner` unchanged while
-/// recording the step's *transmitted* sends (destination and message id)
-/// for the engine to route through the latency model. Dropped sends are
-/// forwarded but never routed — they reached no buffer.
-struct SendTap<'a, Ob: ?Sized> {
-    sends: &'a mut Vec<(ProcessId, MsgId)>,
-    inner: &'a mut Ob,
-}
-
-impl<V, Ob: Observer<V> + ?Sized> Observer<V> for SendTap<'_, Ob> {
-    fn on_send(&mut self, event: &SendEvent) {
-        if !event.dropped {
-            if let Some(id) = event.id {
-                self.sends.push((event.dst, id));
-            }
-        }
-        self.inner.on_send(event);
-    }
-
-    fn on_deliver(&mut self, event: &DeliverEvent) {
-        self.inner.on_deliver(event);
-    }
-
-    fn on_fd_sample(&mut self, event: &FdSampleEvent) {
-        self.inner.on_fd_sample(event);
-    }
-
-    fn on_step(&mut self, event: &StepEvent) {
-        self.inner.on_step(event);
-    }
-
-    fn on_round(&mut self, event: &RoundEvent) {
-        self.inner.on_round(event);
-    }
-
-    fn on_crash(&mut self, event: &CrashEvent) {
-        self.inner.on_crash(event);
-    }
-
-    fn on_decide(&mut self, event: &DecideEvent<V>) {
-        self.inner.on_decide(event);
-    }
-
-    fn on_halt(&mut self, event: &HaltEvent) {
-        self.inner.on_halt(event);
-    }
-}
-
-/// The component registry of one drive mode.
+/// The component registry: one clock per process, then the link fabric,
+/// the crash schedule and the optional detector cadence, in
+/// [`ComponentId`] order.
 #[derive(Debug)]
-enum Mode<M> {
-    /// Unit→time embedding: one clock component burning scheduler units.
-    Embedded(UnitClock<M>),
-    /// Arrival-driven execution with real delivery times.
-    Timed(Box<Timed>),
-}
-
-/// Timed-mode state: per-process clocks, the link fabric, the crash
-/// schedule, the optional detector cadence, and the released-but-unread
-/// message ids per process.
-#[derive(Debug)]
-struct Timed {
-    latency: Latency,
-    gst: u64,
-    seed: u64,
+struct Components {
     procs: Vec<ProcClock>,
     fabric: LinkFabric,
     crashes: CrashSchedule,
     cadence: Option<DetectorCadence>,
-    /// Message ids released by the fabric, awaiting the destination's
-    /// next step.
-    ready: Vec<Vec<MsgId>>,
-    /// Timed crashes that have already struck.
-    struck: ProcessSet,
-    /// Initially dead ∪ every scheduled timed crash — the processes
-    /// [`Engine::done`] does not wait for (mirroring how the step
-    /// substrate counts plan-scheduled crashes out from the start).
-    faulty: ProcessSet,
 }
 
-impl Timed {
-    fn component_mut(&mut self, cid: ComponentId) -> Option<&mut dyn Component> {
+impl Components {
+    fn get_mut(&mut self, cid: ComponentId) -> Option<&mut dyn Component> {
         let n = self.procs.len();
         let i = cid.index();
         Some(match i {
@@ -117,12 +44,12 @@ impl Timed {
 /// The discrete-event virtual-time substrate: a [`Simulation`] driven by
 /// an [`EventHeap`] of component wake-ups instead of a unit scheduler.
 ///
-/// See the [module docs](super) for the architecture and the two drive
-/// modes. Like [`SimEngine`](crate::SimEngine) it implements
-/// [`Engine`], so `drive`/`drive_observed` and every runner work
-/// unchanged; a *unit* is one process step in both modes (bookkeeping
-/// ticks — fabric releases, crash strikes, cadence pulses — are free,
-/// which is exactly the idle-skip advantage on sparse schedules).
+/// See the [module docs](super) for the architecture. Like
+/// [`SimEngine`](crate::SimEngine) it implements [`Engine`], so
+/// `drive`/`drive_observed` and every runner work unchanged; a *unit* is
+/// one process step (bookkeeping ticks — fabric releases, crash strikes,
+/// cadence pulses — are free, which is exactly the idle-skip advantage on
+/// sparse schedules).
 ///
 /// # Examples
 ///
@@ -160,8 +87,23 @@ where
     now: VirtualTime,
     units: u64,
     primed: bool,
+    latency: Latency,
+    gst: u64,
+    seed: u64,
+    comps: Components,
+    /// Message ids released by the fabric, awaiting the destination's
+    /// next step.
+    ready: Vec<Vec<MsgId>>,
+    /// Timed crashes that have already struck.
+    struck: ProcessSet,
+    /// The crash plan's faulty processes ∪ every scheduled timed crash —
+    /// the processes [`Engine::done`] does not wait for (as the step
+    /// substrate counts plan-scheduled crashes out from the start).
+    faulty: ProcessSet,
+    /// One tick's actions, reused across ticks.
     scratch: Vec<Action>,
-    mode: Mode<P::Msg>,
+    /// The messages one step put in buffers, reused across steps.
+    sends: Vec<(ProcessId, MsgId)>,
 }
 
 impl<P, O> DesEngine<P, O>
@@ -170,23 +112,6 @@ where
     O: Oracle<Sample = P::Fd>,
     P::Fd: std::hash::Hash,
 {
-    /// The unit→time embedding: wraps `sched` in a clock component waking
-    /// at `t = 1, 2, 3, …`, one scheduler unit per tick. The run replays
-    /// the exact step sequence [`SimEngine`](crate::SimEngine) would
-    /// execute with the same simulation and scheduler — decisions, units
-    /// and the Observer stream all agree.
-    pub fn embedded(sim: Simulation<P, O>, sched: impl Scheduler<P::Msg> + 'static) -> Self {
-        DesEngine {
-            sim,
-            heap: EventHeap::new(),
-            now: VirtualTime::ZERO,
-            units: 0,
-            primed: false,
-            scratch: Vec::new(),
-            mode: Mode::Embedded(UnitClock::new(ComponentId::new(0), Box::new(sched))),
-        }
-    }
-
     /// Arrival-driven timed execution: messages take
     /// `max(send, gst) + draw` ticks, with `draw` the seeded per-link
     /// [`Latency::draw`]. Alive processes take their first step at `t = 1`
@@ -198,44 +123,40 @@ where
     /// ruled out.
     pub fn timed(sim: Simulation<P, O>, latency: Latency, gst: u64, seed: u64) -> Self {
         let n = sim.n();
-        let faulty = sim.crash_plan().initially_dead_set();
+        let faulty = sim.crash_plan().faulty();
         DesEngine {
             sim,
             heap: EventHeap::new(),
             now: VirtualTime::ZERO,
             units: 0,
             primed: false,
-            scratch: Vec::new(),
-            mode: Mode::Timed(Box::new(Timed {
-                latency: latency.normalized(),
-                gst,
-                seed,
+            latency: latency.normalized(),
+            gst,
+            seed,
+            comps: Components {
                 procs: (0..n)
                     .map(|i| ProcClock::new(ComponentId::new(i), ProcessId::new(i)))
                     .collect(),
                 fabric: LinkFabric::new(ComponentId::new(n)),
                 crashes: CrashSchedule::new(ComponentId::new(n + 1)),
                 cadence: None,
-                ready: vec![Vec::new(); n],
-                struck: ProcessSet::new(),
-                faulty,
-            })),
+            },
+            ready: vec![Vec::new(); n],
+            struck: ProcessSet::new(),
+            faulty,
+            scratch: Vec::new(),
+            sends: Vec::new(),
         }
     }
 
     /// Schedules a timed crash: `pid` takes no step at or after `at`
     /// (crash-stop — its earlier sends still arrive). Same-instant ties
-    /// resolve crash-first. No-op in embedded mode (unit schedules crash
-    /// through the [`CrashPlan`](crate::CrashPlan)) and for out-of-range
-    /// pids.
+    /// resolve crash-first. No-op for out-of-range pids.
     pub fn schedule_crash(&mut self, pid: ProcessId, at: VirtualTime) {
-        let n = self.sim.n();
-        if let Mode::Timed(tm) = &mut self.mode {
-            if pid.index() < n {
-                tm.crashes.schedule(at, pid);
-                tm.faulty.insert(pid);
-                self.heap.push(at, tm.crashes.id());
-            }
+        if pid.index() < self.sim.n() {
+            self.comps.crashes.schedule(at, pid);
+            self.faulty.insert(pid);
+            self.heap.push(at, self.comps.crashes.id());
         }
     }
 
@@ -248,20 +169,16 @@ where
 
     /// Enables the failure-detector cadence: every `period` ticks
     /// (normalized to ≥ 1), every alive undecided process is woken for a
-    /// detector-sampling step even if no message arrived. No-op in
-    /// embedded mode.
+    /// detector-sampling step even if no message arrived.
     #[must_use]
     pub fn with_detector_cadence(mut self, period: u64) -> Self {
-        if let Mode::Timed(tm) = &mut self.mode {
-            let n = tm.procs.len();
-            let cadence = DetectorCadence::new(ComponentId::new(n + 2), period);
-            if self.primed {
-                if let Some(at) = cadence.next_tick() {
-                    self.heap.push(at, cadence.id());
-                }
+        let cadence = DetectorCadence::new(ComponentId::new(self.sim.n() + 2), period);
+        if self.primed {
+            if let Some(at) = cadence.next_tick() {
+                self.heap.push(at, cadence.id());
             }
-            tm.cadence = Some(cadence);
         }
+        self.comps.cadence = Some(cadence);
         self
     }
 
@@ -303,28 +220,19 @@ where
     /// first wave pops in.
     fn prime(&mut self) {
         self.primed = true;
-        match &mut self.mode {
-            Mode::Embedded(clock) => {
-                let at = VirtualTime::new(1);
-                clock.rearm(at);
-                self.heap.push(at, clock.id());
+        if let Some(at) = self.comps.crashes.next_tick() {
+            self.heap.push(at, self.comps.crashes.id());
+        }
+        if let Some(cadence) = &self.comps.cadence {
+            if let Some(at) = cadence.next_tick() {
+                self.heap.push(at, cadence.id());
             }
-            Mode::Timed(tm) => {
-                if let Some(at) = tm.crashes.next_tick() {
-                    self.heap.push(at, tm.crashes.id());
-                }
-                if let Some(cadence) = &tm.cadence {
-                    if let Some(at) = cadence.next_tick() {
-                        self.heap.push(at, cadence.id());
-                    }
-                }
-                let at = VirtualTime::new(1);
-                for i in 0..tm.procs.len() {
-                    if self.sim.is_alive(ProcessId::new(i)) {
-                        tm.procs[i].wake_at(at);
-                        self.heap.push(at, tm.procs[i].id());
-                    }
-                }
+        }
+        let at = VirtualTime::new(1);
+        for (i, clock) in self.comps.procs.iter_mut().enumerate() {
+            if self.sim.is_alive(ProcessId::new(i)) {
+                clock.wake_at(at);
+                self.heap.push(at, clock.id());
             }
         }
     }
@@ -346,9 +254,9 @@ where
     /// Pops heap entries until one tick yields a process step. Stale
     /// entries (popped time ≠ the component's `next_tick`) are lazily
     /// skipped; bookkeeping ticks (fabric releases, crash strikes,
-    /// cadence pulses, exhausted-scheduler clock ticks) are processed
-    /// inline without counting as units. Returns `false` when the heap
-    /// drains — the substrate is out of moves.
+    /// cadence pulses) are processed inline without counting as units.
+    /// Returns `false` when the heap drains — the substrate is out of
+    /// moves.
     fn dispatch_with<Ob>(&mut self, obs: &mut Ob) -> bool
     where
         Ob: Observer<P::Output> + ?Sized,
@@ -362,30 +270,18 @@ where
             };
             let mut actions = std::mem::take(&mut self.scratch);
             actions.clear();
-            let ticked = {
-                let comp: Option<&mut dyn Component> = match &mut self.mode {
-                    Mode::Embedded(clock) => {
-                        if cid == Component::id(clock) {
-                            Some(clock)
-                        } else {
-                            None
-                        }
+            let ticked = match self.comps.get_mut(cid) {
+                Some(comp) if comp.next_tick() == Some(now) => {
+                    comp.tick(now, &mut actions);
+                    // Requeue the component's own next wake; external
+                    // wakes push their own entries at cause time.
+                    if let Some(next) = comp.next_tick() {
+                        self.heap.push(next, cid);
                     }
-                    Mode::Timed(tm) => tm.component_mut(cid),
-                };
-                match comp {
-                    Some(comp) if comp.next_tick() == Some(now) => {
-                        comp.tick(now, &mut actions);
-                        // Requeue the component's own next wake; external
-                        // wakes push their own entries at cause time.
-                        if let Some(next) = comp.next_tick() {
-                            self.heap.push(next, cid);
-                        }
-                        true
-                    }
-                    // Stale or unknown entry: lazy deletion.
-                    _ => false,
+                    true
                 }
+                // Stale or unknown entry: lazy deletion.
+                _ => false,
             };
             let stepped = if ticked {
                 self.now = now;
@@ -400,90 +296,76 @@ where
         }
     }
 
-    /// Applies one tick's actions; returns whether a process step (or an
-    /// embedded scheduler unit) was executed.
+    /// Applies one tick's actions; returns whether a process step was
+    /// executed.
     fn apply<Ob>(&mut self, now: VirtualTime, actions: &mut Vec<Action>, obs: &mut Ob) -> bool
     where
         Ob: Observer<P::Output> + ?Sized,
     {
         let mut stepped = false;
         for action in actions.drain(..) {
-            match (&mut self.mode, action) {
-                (Mode::Embedded(clock), Action::SchedulerUnit) => {
-                    // One unit of the embedded scheduler — the exact
-                    // SimEngine semantics, including "picking a crashed
-                    // process still consumes the unit".
-                    if !self.sim.step_once(clock.scheduler_mut(), obs) {
+            match action {
+                Action::StepProcess(pid) => {
+                    if self.struck.contains(pid) || !self.sim.is_alive(pid) {
                         continue;
                     }
-                    let at = now.next();
-                    clock.rearm(at);
-                    self.heap.push(at, Component::id(clock));
+                    // Drained rather than taken, so the ready list keeps
+                    // its capacity for the next arrivals.
+                    let ids = self.ready[pid.index()].drain(..).collect();
+                    if self
+                        .sim
+                        .step_routed(pid, Delivery::Ids(ids), obs, &mut self.sends)
+                        .is_err()
+                    {
+                        continue;
+                    }
                     stepped = true;
-                }
-                (Mode::Timed(tm), Action::StepProcess(pid)) => {
-                    if tm.struck.contains(pid) || !self.sim.is_alive(pid) {
-                        continue;
-                    }
-                    let ids = std::mem::take(&mut tm.ready[pid.index()]);
-                    let mut sends: Vec<(ProcessId, MsgId)> = Vec::new();
-                    let ok = {
-                        let mut tap = SendTap {
-                            sends: &mut sends,
-                            inner: obs,
-                        };
-                        self.sim
-                            .step_observed(pid, Delivery::Ids(ids), &mut tap)
-                            .is_ok()
-                    };
-                    if ok {
-                        stepped = true;
-                        for (dst, id) in sends {
-                            // The adversary parks pre-GST messages until
-                            // stabilization, then the link draws its delay.
-                            let depart = now.raw().max(tm.gst);
-                            let delay = tm.latency.draw(tm.seed, pid, dst, id.raw());
-                            let at = VirtualTime::new(depart).plus(delay);
-                            tm.fabric.route(at, dst, id);
-                            self.heap.push(at, tm.fabric.id());
+                    // The adversary parks pre-GST messages until
+                    // stabilization, then the link draws its delay.
+                    let depart = VirtualTime::new(now.raw().max(self.gst));
+                    for &(dst, id) in &self.sends {
+                        let at = depart.plus(self.latency.draw(self.seed, pid, dst, id.raw()));
+                        if self.comps.fabric.route(at, dst, id) {
+                            self.heap.push(at, self.comps.fabric.id());
                         }
                     }
                 }
-                (Mode::Timed(tm), Action::Deliver { dst, id }) => {
+                Action::Deliver { dst, id } => {
                     // A message reaching a crashed process vanishes.
-                    if tm.struck.contains(dst) || !self.sim.is_alive(dst) {
+                    if self.struck.contains(dst) || !self.sim.is_alive(dst) {
                         continue;
                     }
-                    tm.ready[dst.index()].push(id);
-                    if tm.procs[dst.index()].wake_at(now) {
-                        self.heap.push(now, tm.procs[dst.index()].id());
+                    self.ready[dst.index()].push(id);
+                    let clock = &mut self.comps.procs[dst.index()];
+                    if clock.wake_at(now) {
+                        self.heap.push(now, clock.id());
                     }
                 }
-                (Mode::Timed(tm), Action::Crash(pid)) => {
-                    if tm.struck.contains(pid) || !self.sim.is_alive(pid) {
+                Action::Crash(pid) => {
+                    if self.struck.contains(pid) || !self.sim.is_alive(pid) {
                         continue;
                     }
-                    tm.struck.insert(pid);
-                    tm.ready[pid.index()].clear();
-                    tm.procs[pid.index()].retire();
+                    self.struck.insert(pid);
+                    self.ready[pid.index()].clear();
+                    self.comps.procs[pid.index()].retire();
                     obs.on_crash(&CrashEvent {
                         pid,
                         time: self.sim.time(),
                         after_step: true,
                     });
                 }
-                (Mode::Timed(tm), Action::Pulse) => {
+                Action::Pulse => {
                     let mut woke = false;
-                    for i in 0..tm.procs.len() {
+                    for (i, clock) in self.comps.procs.iter_mut().enumerate() {
                         let pid = ProcessId::new(i);
-                        if tm.struck.contains(pid)
+                        if self.struck.contains(pid)
                             || !self.sim.is_alive(pid)
                             || self.sim.decision(pid).is_some()
                         {
                             continue;
                         }
-                        if tm.procs[i].wake_at(now) {
-                            self.heap.push(now, tm.procs[i].id());
+                        if clock.wake_at(now) {
+                            self.heap.push(now, clock.id());
                         }
                         woke = true;
                     }
@@ -491,14 +373,11 @@ where
                         // Nobody left to sample: let the heap drain. The
                         // alive-undecided set only shrinks, so this is
                         // final.
-                        if let Some(cadence) = tm.cadence.as_mut() {
+                        if let Some(cadence) = self.comps.cadence.as_mut() {
                             cadence.retire();
                         }
                     }
                 }
-                // A mode/action mismatch cannot be constructed: actions
-                // come from the mode's own components.
-                _ => {}
             }
         }
         stepped
@@ -542,12 +421,9 @@ where
     }
 
     fn done(&self) -> bool {
-        match &self.mode {
-            Mode::Embedded(_) => self.sim.all_correct_decided(),
-            Mode::Timed(tm) => ProcessId::all(self.sim.n())
-                .filter(|p| !tm.faulty.contains(*p))
-                .all(|p| self.sim.decision(p).is_some()),
-        }
+        ProcessId::all(self.sim.n())
+            .filter(|p| !self.faulty.contains(*p))
+            .all(|p| self.sim.decision(p).is_some())
     }
 
     fn units(&self) -> u64 {
@@ -566,8 +442,7 @@ mod tests {
     use crate::ids::Time;
     use crate::observe::EventCounter;
     use crate::process::{Effects, ProcessInfo};
-    use crate::sched::round_robin::RoundRobin;
-    use crate::{Envelope, SimEngine};
+    use crate::Envelope;
     use std::collections::BTreeSet;
 
     /// Broadcasts its input on the first step, then decides the minimum
@@ -613,32 +488,6 @@ mod tests {
 
     fn inputs(n: usize) -> Vec<u32> {
         (0..n as u32).map(|i| i * 10 + 3).collect()
-    }
-
-    #[test]
-    fn embedded_mode_replays_the_sim_engine_run_exactly() {
-        let n = 5;
-        let plan = CrashPlan::none().with_crash_after(
-            ProcessId::new(1),
-            2,
-            crate::failure::Omission::KeepOnlyTo(ProcessSet::new()),
-        );
-        let sim = || -> Simulation<MinFlood, _> { Simulation::new(inputs(n), plan.clone()) };
-        let mut reference = SimEngine::new(sim(), RoundRobin::new());
-        let mut des = DesEngine::embedded(sim(), RoundRobin::new());
-        let ref_status = reference.drive(10_000);
-        let des_status = des.drive(10_000);
-        assert_eq!(ref_status, des_status);
-        assert_eq!(reference.decisions(), des.decisions());
-        assert_eq!(reference.units(), des.units());
-        let ref_report = reference.report(ref_status.stop);
-        let des_report = des.report(des_status.stop);
-        assert_eq!(ref_report.steps, des_report.steps);
-        assert_eq!(
-            ref_report.trace.schedule(),
-            des_report.trace.schedule(),
-            "the embedding must replay the exact step sequence"
-        );
     }
 
     #[test]

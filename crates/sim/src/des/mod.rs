@@ -28,28 +28,22 @@
 //!   stabilization; `gst = 0` is the synchronous-bounded model from the
 //!   start.
 //!
-//! # Two drive modes
+//! # One drive mode
 //!
-//! [`DesEngine`] implements the [`Engine`](crate::Engine) trait in both:
-//!
-//! * **Embedded** ([`DesEngine::embedded`]) — the unit→time embedding: a
-//!   single clock component wakes at `t = 1, 2, 3, …` and burns one
-//!   scheduler unit per tick. The exact `SimEngine` step sequence replays
-//!   under the event-driven clock, so every existing
-//!   [`Scenario`](crate::Scenario) compiles unchanged and the differential
-//!   suite pins decision equality across all three substrates.
-//! * **Timed** ([`DesEngine::timed`]) — arrival-driven execution: a
-//!   process wakes exactly when messages arrive (plus the optional
-//!   detector cadence), consuming them as a
-//!   [`Delivery::Ids`](crate::sched::Delivery::Ids) step. Idle
-//!   stretches cost nothing —
-//!   the clock jumps to the next arrival — which is the sparse-schedule
-//!   win the `e7_des` bench group measures.
+//! [`DesEngine::timed`] is arrival-driven: a process wakes exactly when
+//! messages arrive (plus the optional detector cadence), consuming them as
+//! a [`Delivery::Ids`](crate::sched::Delivery::Ids) step. Idle stretches
+//! cost nothing — the clock jumps to the next arrival — which is the
+//! sparse-schedule win the `e7_des` bench group measures. At
+//! [`Latency::fixed`]`(1)` with `gst = 0` a process's `r`-th local step
+//! happens at `t = r`, so the run walks the lock-step round cadence; that
+//! is how [`Scenario::to_des`](crate::Scenario::to_des) compiles the
+//! lock-step schedule family, the simulation's own crash plan included.
 //!
 //! The Observer event stream (send/deliver/fd-sample/step/crash/decide/
-//! halt) flows unchanged in both modes: every process step goes through
-//! the same `Simulation::step_observed` seven-phase pipeline as the step
-//! substrate. Event times remain the simulation's step counter
+//! halt) flows unchanged: every process step goes through the same
+//! seven-phase step body as the step substrate's
+//! `Simulation::step_observed`. Event times remain the simulation's step counter
 //! ([`Time`](crate::Time)); the virtual clock is scheduling metadata, not
 //! a new event vocabulary. One nuance: a *timed* crash is an adversary
 //! strike between steps, reported with `after_step == true` at the
@@ -60,9 +54,7 @@ mod engine;
 mod heap;
 mod latency;
 
-pub use component::{
-    Action, Component, CrashSchedule, DetectorCadence, LinkFabric, ProcClock, UnitClock,
-};
+pub use component::{Action, Component, CrashSchedule, DetectorCadence, LinkFabric, ProcClock};
 pub use engine::DesEngine;
 pub use heap::EventHeap;
 pub use latency::Latency;
@@ -72,7 +64,7 @@ pub use latency::Latency;
 /// Distinct from [`Time`](crate::Time) (the simulation's step counter):
 /// virtual time measures *when* things happen on the modelled network,
 /// while step time counts atomic process steps. Observer events carry step
-/// time in both drive modes.
+/// time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VirtualTime(u64);
 

@@ -369,6 +369,25 @@ where
         self.step_logged(pid, delivery, obs, &mut NoUndo)
     }
 
+    /// As [`Simulation::step_observed`], also listing in `routed` (cleared
+    /// first) the destination and id of every message the step put in a
+    /// buffer, in send order; dropped sends reached no buffer and are not
+    /// listed. The discrete-event engine routes exactly these messages
+    /// through its latency model.
+    pub(crate) fn step_routed<Ob>(
+        &mut self,
+        pid: ProcessId,
+        delivery: Delivery,
+        obs: &mut Ob,
+        routed: &mut Vec<(ProcessId, MsgId)>,
+    ) -> Result<(), SimError>
+    where
+        Ob: Observer<P::Output> + ?Sized,
+    {
+        routed.clear();
+        self.step_logged(pid, delivery, obs, routed)
+    }
+
     /// Executes one step of `pid` in place and records in `log` what
     /// [`Simulation::undo`] needs to revert it. The exhaustive explorer
     /// steps, hashes and reverts a configuration this way, and steps into
@@ -504,7 +523,7 @@ where
             }
             if !dropped {
                 self.buffers[dst.index()].push(Envelope::new(id, pid, dst, self.time, payload));
-                log.appended(dst);
+                log.appended(dst, id);
             }
         }
 
@@ -679,12 +698,7 @@ where
     /// picking a crashed process still consumes the unit (adversaries built
     /// from plans may race with plan-driven crashes; they get to observe the
     /// new state on the next call).
-    ///
-    /// `pub(crate)` so the discrete-event substrate
-    /// ([`crate::des::DesEngine`]) can embed unit schedulers tick-for-tick,
-    /// guaranteeing that embedded runs replay the exact `SimEngine` step
-    /// sequence.
-    pub(crate) fn step_once<S, Ob>(&mut self, scheduler: &mut S, obs: &mut Ob) -> bool
+    fn step_once<S, Ob>(&mut self, scheduler: &mut S, obs: &mut Ob) -> bool
     where
         S: Scheduler<P::Msg> + ?Sized,
         Ob: Observer<P::Output> + ?Sized,
@@ -822,15 +836,16 @@ impl std::hash::Hasher for ComponentHasher {
     }
 }
 
-/// What one step tells its log, so that the step can be undone.
-/// [`NoUndo`], the log of every plain step, ignores it all and compiles
-/// away; the explorer's [`UndoLog`] keeps what reverts the step.
+/// What one step tells its log. [`NoUndo`], the log of every plain step,
+/// ignores it all and compiles away; the explorer's [`UndoLog`] keeps what
+/// reverts the step; the discrete-event engine's route list
+/// ([`Simulation::step_routed`]) keeps the messages it appended.
 pub(crate) trait StepLog<P: Process, O: Oracle<Sample = P::Fd>> {
     /// The step of `pid` goes ahead; `sim` is still the pre-step
     /// configuration.
     fn begin(&mut self, sim: &Simulation<P, O>, pid: ProcessId);
-    /// The step appended one message to `dst`'s buffer.
-    fn appended(&mut self, dst: ProcessId);
+    /// The step appended message `id` to `dst`'s buffer.
+    fn appended(&mut self, dst: ProcessId, id: MsgId);
     /// The step is done with the envelopes it delivered.
     fn delivered(&mut self, envs: Vec<Envelope<P::Msg>>);
 }
@@ -841,7 +856,19 @@ pub(crate) struct NoUndo;
 impl<P: Process, O: Oracle<Sample = P::Fd>> StepLog<P, O> for NoUndo {
     fn begin(&mut self, _sim: &Simulation<P, O>, _pid: ProcessId) {}
 
-    fn appended(&mut self, _dst: ProcessId) {}
+    fn appended(&mut self, _dst: ProcessId, _id: MsgId) {}
+
+    fn delivered(&mut self, _envs: Vec<Envelope<P::Msg>>) {}
+}
+
+/// The route list of a discrete-event step: `(destination, id)` of every
+/// message the step appended, in send order.
+impl<P: Process, O: Oracle<Sample = P::Fd>> StepLog<P, O> for Vec<(ProcessId, MsgId)> {
+    fn begin(&mut self, _sim: &Simulation<P, O>, _pid: ProcessId) {}
+
+    fn appended(&mut self, dst: ProcessId, id: MsgId) {
+        self.push((dst, id));
+    }
 
     fn delivered(&mut self, _envs: Vec<Envelope<P::Msg>>) {}
 }
@@ -916,7 +943,7 @@ where
         self.appended.clear();
     }
 
-    fn appended(&mut self, dst: ProcessId) {
+    fn appended(&mut self, dst: ProcessId, _id: MsgId) {
         self.appended.push(dst);
     }
 

@@ -21,14 +21,17 @@
 //!   with no receivers).
 //! * [`Scenario::to_des`] builds a [`DesEngine`]:
 //!   the [`ScheduleFamily::Timed`] family compiles natively (latency
-//!   draws, GST, virtual-time crash strikes), and every *other* family
-//!   takes the unit→time embedding, replaying the exact `to_sim` step
-//!   sequence under the event-driven clock.
+//!   draws, GST, virtual-time crash strikes), and
+//!   [`ScheduleFamily::LockStepRounds`] compiles to fixed latency 1, which
+//!   walks the round cadence with the same crash plan as `to_sim`. The
+//!   unit schedule families (`Async`, `Partitioned`) have no timed
+//!   compilation, as `Timed` has no unit scheduler.
 //!
-//! Because both projections derive from one description, the two substrates
+//! Because the projections derive from one description, the substrates
 //! can be *differentially tested*: under the synchronous
 //! [`ScheduleFamily::LockStepRounds`] family the compiled simulation is
-//! step-for-step equivalent to the round executor, and the harness in
+//! step-for-step equivalent to the round executor, the timed run delivers
+//! exactly what the round executor delivers, and the harness in
 //! `kset-core::scenario::differential` asserts it. Under an asynchronous
 //! family the equivalence intentionally breaks — that divergence is the
 //! paper's border made executable.
@@ -619,8 +622,8 @@ impl Scenario {
         Ok(SimEngine::new(sim, self.scheduler()?))
     }
 
-    /// Compiles the scenario to the discrete-event substrate — defined for
-    /// **every** schedule family:
+    /// Compiles the scenario to the discrete-event substrate, whose one
+    /// drive mode is arrival-driven ([`DesEngine::timed`]):
     ///
     /// * [`ScheduleFamily::Timed`] compiles natively: initially-dead
     ///   processes enter the simulation's crash plan, every
@@ -628,14 +631,20 @@ impl Scenario {
     ///   ([`DesEngine::schedule_crash`] at `t = round`), and a non-`None`
     ///   detector choice enables the sampling cadence at the latency lower
     ///   bound (the fastest the modelled network can change).
-    /// * Every other family takes the unit→time embedding
-    ///   ([`DesEngine::embedded`]) around the family's own scheduler, so
-    ///   the run replays the exact [`Scenario::to_sim`] step sequence under
-    ///   the event-driven clock.
+    /// * [`ScheduleFamily::LockStepRounds`] compiles to
+    ///   [`Latency::fixed`]`(1)` with `gst = 0` over
+    ///   [`Scenario::to_simulation`]: a process's `round`-th local step
+    ///   happens at `t = round`, so the crash plan's
+    ///   [`Omission::KeepOnlyTo`]`(receivers)` makes the step at
+    ///   `t = round` reach only its receivers, as the round executor's
+    ///   mid-round partial delivery does.
     ///
     /// # Errors
     ///
-    /// Returns the first [`ScenarioError`] of [`Scenario::validate`].
+    /// Returns the first [`ScenarioError`] of [`Scenario::validate`], and
+    /// [`ScenarioError::BadSchedule`] for [`ScheduleFamily::Async`] and
+    /// [`ScheduleFamily::Partitioned`]: their schedules are unit
+    /// schedulers, which compile with [`Scenario::to_sim`].
     pub fn to_des<P: ScenarioProcess>(&self) -> Result<DesEngine<P, NoOracle>, ScenarioError> {
         self.validate()?;
         match &self.schedule {
@@ -653,9 +662,16 @@ impl Scenario {
                 }
                 Ok(engine)
             }
-            _ => {
-                let scheduler = self.scheduler()?;
-                Ok(DesEngine::embedded(self.to_simulation::<P>()?, scheduler))
+            ScheduleFamily::LockStepRounds => Ok(DesEngine::timed(
+                self.to_simulation::<P>()?,
+                Latency::fixed(1),
+                0,
+                0,
+            )),
+            ScheduleFamily::Async { .. } | ScheduleFamily::Partitioned { .. } => {
+                Err(ScenarioError::BadSchedule {
+                    reason: "a unit schedule family has no timed compilation; compile with to_sim",
+                })
             }
         }
     }
@@ -1535,17 +1551,40 @@ mod tests {
         assert_eq!(decisions[0..3], [Some(0), Some(1), Some(2)]);
         assert_eq!(decisions[3], None, "struck at t=1, before its first step");
 
-        // The unit→time embedding: a lock-step scenario decides
-        // identically on the DES engine and on the step engine.
-        let lock = Scenario::favourable(3, 0, 1);
+        // The lock-step family compiles to fixed latency 1: one step per
+        // alive process per instant, as in the step engine's round-robin
+        // run, with the same crash plan.
+        let lock = Scenario::favourable(3, 1, 1).with_crash(ScenarioCrash {
+            pid: pid(0),
+            round: 1,
+            receivers: [pid(1)].into(),
+        });
         let mut des = lock.to_des::<Own>().expect("valid");
         let mut sim = lock.to_sim::<Own>().expect("valid");
         assert_eq!(
             des.drive(lock.max_units),
             sim.drive(lock.max_units),
-            "embedded drive status matches the step substrate"
+            "the timed drive status matches the step substrate"
         );
         assert_eq!(des.decisions(), sim.decisions());
+        assert!(des.done(), "the planned crash is not waited for");
+
+        // The unit schedule families have no timed compilation.
+        let async_sc = lock.clone().with_schedule(ScheduleFamily::Async {
+            seed: 7,
+            deliver_percent: 50,
+            fairness_window: 8,
+        });
+        let part = lock.with_schedule(ScheduleFamily::Partitioned {
+            blocks: vec![[pid(0)].into(), [pid(1), pid(2)].into()],
+        });
+        for unit in [async_sc, part] {
+            assert!(unit.to_sim::<Own>().is_ok());
+            assert!(matches!(
+                unit.to_des::<Own>(),
+                Err(ScenarioError::BadSchedule { .. })
+            ));
+        }
 
         // Invalid scenarios are rejected before compilation.
         assert!(Scenario::favourable(4, 1, 1)
