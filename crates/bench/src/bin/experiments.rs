@@ -399,16 +399,14 @@ fn sweep_cmd(args: &[String]) {
     let mut out: Option<String> = None;
     let mut seq = false;
     let mut resume: Option<String> = None;
-    let mut explicit = Vec::new();
+    let mut seen = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let mut value = |flag: &str| {
             it.next()
                 .unwrap_or_else(|| usage(&format!("{flag} needs a value")))
         };
-        if matches!(arg.as_str(), "--grid" | "--grid-seed" | "--shard" | "--seq") {
-            explicit.push(arg.as_str());
-        }
+        first_use(&mut seen, arg);
         match arg.as_str() {
             "--grid" => grid_name = Some(value("--grid").clone()),
             "--grid-seed" => {
@@ -428,7 +426,8 @@ fn sweep_cmd(args: &[String]) {
         }
     }
     if let Some(resume) = resume {
-        if let Some(flag) = explicit.first() {
+        let explicit = ["--grid", "--grid-seed", "--shard", "--seq"];
+        if let Some(flag) = seen.iter().find(|flag| explicit.contains(flag)) {
             usage(&format!(
                 "--resume reads every parameter from the file's header; drop {flag}"
             ));
@@ -466,6 +465,15 @@ fn sweep_cmd(args: &[String]) {
         "sweep grid={grid_name} seed={grid_seed} shard={shard} mode={mode} \
          cells={records} out={out} file-digest={file_digest:#018x}",
     );
+}
+
+/// Records one use of `flag`, rejecting a second: the last value of a
+/// repeated flag would otherwise silently win.
+fn first_use<'a>(seen: &mut Vec<&'a str>, flag: &'a str) {
+    if seen.contains(&flag) {
+        usage(&format!("{flag} given more than once"));
+    }
+    seen.push(flag);
 }
 
 /// A shard file being written: bytes stream to disk and into the running
@@ -566,8 +574,12 @@ fn merge_cmd(args: &[String]) {
     let mut out: Option<String> = None;
     let mut check = false;
     let mut paths: Vec<String> = Vec::new();
+    let mut seen = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        if arg.starts_with("--") {
+            first_use(&mut seen, arg);
+        }
         match arg.as_str() {
             "--out" => {
                 out = Some(

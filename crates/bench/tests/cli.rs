@@ -1,6 +1,7 @@
 //! The `experiments` binary's contract. Arguments: a table flag prints its
 //! table and exits 0; anything that is neither a table flag nor a
-//! subcommand is a usage error (exit 2) instead of a silent no-op.
+//! subcommand is a usage error (exit 2) instead of a silent no-op, and so
+//! is a flag of `sweep` or `merge` given twice.
 //! Outputs: the catalog sweeps write the files their pinned digests name
 //! on every path that writes one (`--seq`, the default path, shards +
 //! `merge`, and `--resume` of clean and torn prefixes), and the tables
@@ -148,6 +149,50 @@ fn resumed_sweeps_reproduce_the_pinned_file_digests() {
             let _ = std::fs::remove_file(&partial);
         }
         let _ = std::fs::remove_file(&full);
+    }
+}
+
+#[test]
+fn repeated_flags_are_usage_errors() {
+    // A repeated flag would otherwise let its last value win silently.
+    let out = temp("repeat-out", "any");
+    let other = temp("repeat-other", "any");
+    let (out_arg, other_arg) = (path_arg(&out), path_arg(&other));
+    fn scale_sweep<'a>(out: &'a str, extra: &[&'a str]) -> Vec<&'a str> {
+        let mut args = vec!["sweep", "--grid", "scale", "--out", out];
+        args.extend(extra);
+        args
+    }
+    let cases = [
+        scale_sweep(out_arg, &["--shard", "0/3", "--shard", "1/3"]),
+        scale_sweep(out_arg, &["--out", other_arg]),
+        scale_sweep(out_arg, &["--grid", "border"]),
+        scale_sweep(out_arg, &["--grid-seed", "1", "--grid-seed", "1"]),
+        scale_sweep(out_arg, &["--seq", "--seq"]),
+        vec!["sweep", "--resume", out_arg, "--resume", out_arg],
+        vec!["merge", "--out", other_arg, "--out", out_arg, out_arg],
+        vec![
+            "merge",
+            "--out",
+            out_arg,
+            "--check-against-sequential",
+            "--check-against-sequential",
+            other_arg,
+        ],
+    ];
+    for args in cases {
+        let run = experiments(&args);
+        assert_eq!(run.status.code(), Some(2), "{args:?}");
+        assert!(run.stdout.is_empty(), "{args:?} must report no run");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(
+            stderr.contains("given more than once") && stderr.contains("usage:"),
+            "{args:?}: {stderr}"
+        );
+        assert!(
+            !out.exists() && !other.exists(),
+            "{args:?} must write no file"
+        );
     }
 }
 

@@ -230,14 +230,20 @@ pub fn floodmin_batch(
 
 impl RoundProcess for FloodMin {
     type Msg = Val;
+    /// The smallest value in the inbox, `None` if it is empty.
+    type Heard = Option<Val>;
 
     fn message(&self, _round: usize) -> Val {
         self.min
     }
 
-    fn receive(&mut self, _round: usize, msgs: &SenderMap<Val>) {
-        if let Some(m) = msgs.values().min() {
-            self.min = self.min.min(*m);
+    fn hear(_round: usize, msgs: &SenderMap<Val>) -> Option<Val> {
+        msgs.values().min().copied()
+    }
+
+    fn receive(&mut self, _round: usize, heard: &Option<Val>) {
+        if let Some(m) = *heard {
+            self.min = self.min.min(m);
         }
         self.rounds_done += 1;
     }

@@ -198,7 +198,7 @@ where
             for (src, msg) in self.stash.remove(&round).unwrap_or_default() {
                 inbox.insert(src, msg);
             }
-            self.inner.receive(round, &inbox);
+            self.inner.receive(round, &P::hear(round, &inbox));
         }
         // Send this round's message, computed from the post-receive state.
         // A scenario crash after `round` local steps therefore omits

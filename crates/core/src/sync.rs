@@ -27,17 +27,30 @@ use kset_sim::{CapacityError, Engine, ProcessId, ProcessSet, SenderMap, Time};
 use crate::task::Val;
 
 /// A per-round state machine for the synchronous executor.
+///
+/// A round's receive is split in two: [`hear`](RoundProcess::hear) folds
+/// an inbox into what the algorithm keeps of it, and
+/// [`receive`](RoundProcess::receive) applies that fold to one process.
+/// `hear` takes no `self`, so a fold cannot depend on who receives it:
+/// [`LockStep`] folds each distinct inbox of a round once and hands the
+/// same fold to every receiver of that inbox.
 pub trait RoundProcess: Clone + fmt::Debug {
     /// The round-message type.
     type Msg: Clone + fmt::Debug;
+
+    /// What a process keeps of one round inbox.
+    type Heard;
 
     /// The message this process broadcasts in round `r` (rounds are
     /// 1-based).
     fn message(&self, round: usize) -> Self::Msg;
 
-    /// Receives the round-`r` messages (by sender; absent senders crashed
-    /// or omitted) and updates the state.
-    fn receive(&mut self, round: usize, msgs: &SenderMap<Self::Msg>);
+    /// Folds the round-`r` messages (by sender; absent senders crashed or
+    /// omitted) into what a receiver keeps of them.
+    fn hear(round: usize, msgs: &SenderMap<Self::Msg>) -> Self::Heard;
+
+    /// Receives the fold of a round-`r` inbox and updates the state.
+    fn receive(&mut self, round: usize, heard: &Self::Heard);
 
     /// The decision, if the process has decided.
     fn decision(&self) -> Option<Val>;
@@ -123,6 +136,10 @@ impl SyncOutcome {
 /// The lock-step round executor as an [`Engine`]: one engine unit executes
 /// one full synchronous round.
 ///
+/// Round messages are broadcasts, stored once per round; the executor
+/// folds each distinct inbox of a round once ([`RoundProcess::hear`]) and
+/// hands that fold to every receiver of it.
+///
 /// # Examples
 ///
 /// ```
@@ -135,9 +152,13 @@ impl SyncOutcome {
 ///
 /// impl RoundProcess for Echo {
 ///     type Msg = ();
+///     type Heard = usize;
 ///     fn message(&self, _round: usize) {}
-///     fn receive(&mut self, _round: usize, msgs: &SenderMap<()>) {
-///         self.0 = Some(msgs.len());
+///     fn hear(_round: usize, msgs: &SenderMap<()>) -> usize {
+///         msgs.len()
+///     }
+///     fn receive(&mut self, _round: usize, heard: &usize) {
+///         self.0 = Some(*heard);
 ///     }
 ///     fn decision(&self) -> Option<Val> {
 ///         self.0.map(|h| h as Val)
@@ -240,9 +261,11 @@ impl<P: RoundProcess> LockStep<P> {
     ///
     /// Every round message is a broadcast, so each is stored once, in one
     /// shared round map. A receiver that every crasher of the round reached
-    /// reads that map; any other reads a copy without the crashers that
-    /// missed it, one copy per distinct missed set — `c` crashers cost at
-    /// most `min(n, 2^c)` copies.
+    /// gets the fold ([`RoundProcess::hear`]) of that map; any other gets
+    /// the fold of a copy without the crashers that missed it. Each
+    /// distinct inbox is folded once, when its first receiver needs it, so
+    /// a round costs O(n) plus one fold per distinct inbox — `c` crashers
+    /// cost at most `min(n, 2^c)` folds.
     ///
     /// The round substrate tracks no message ids and does not fingerprint
     /// payloads (round messages need not be hashable), so the id and
@@ -288,9 +311,13 @@ impl<P: RoundProcess> LockStep<P> {
                 });
             }
         }
-        // Receive phase: every alive process consumes its round inbox —
-        // the shared map, or the copy without the crashers it missed.
-        let mut copies: BTreeMap<ProcessSet, SenderMap<P::Msg>> = BTreeMap::new();
+        // Receive phase: every alive process consumes the fold of its round
+        // inbox — the shared map's, or that of the copy without the
+        // crashers it missed, each folded once, when first needed. A fold
+        // keeps its inbox's size, so the round's delivered total costs an
+        // observed drive one load per receiver, not a `ProcessSet` count.
+        let mut heard_all: Option<(P::Heard, usize)> = None;
+        let mut folds: BTreeMap<ProcessSet, (P::Heard, usize)> = BTreeMap::new();
         let mut delivered_total = 0usize;
         for dst in everyone - self.crashed {
             let missed: ProcessSet = crashers
@@ -298,21 +325,21 @@ impl<P: RoundProcess> LockStep<P> {
                 .filter(|(_, reached)| !reached.contains(dst))
                 .map(|&(pid, _)| pid)
                 .collect();
-            let inbox = if missed.is_empty() {
-                &shared
+            let (heard, delivered) = if missed.is_empty() {
+                heard_all.get_or_insert_with(|| (P::hear(round, &shared), shared.len()))
             } else {
-                copies.entry(missed).or_insert_with(|| {
+                folds.entry(missed).or_insert_with(|| {
                     let mut copy = shared.clone();
                     for pid in missed {
                         copy.remove(pid);
                     }
-                    copy
+                    (P::hear(round, &copy), copy.len())
                 })
             };
             let p = &mut self.procs[dst.index()];
             let had_decided = p.decision().is_some();
-            p.receive(round, inbox);
-            delivered_total += inbox.len();
+            p.receive(round, heard);
+            delivered_total += *delivered;
             obs.on_inbox(&InboxEvent {
                 time,
                 dst,
@@ -424,12 +451,17 @@ mod tests {
 
     impl RoundProcess for CountRound1 {
         type Msg = ();
+        type Heard = usize;
 
         fn message(&self, _round: usize) {}
 
-        fn receive(&mut self, round: usize, msgs: &SenderMap<()>) {
+        fn hear(_round: usize, msgs: &SenderMap<()>) -> usize {
+            msgs.len()
+        }
+
+        fn receive(&mut self, round: usize, heard: &usize) {
             if round == 1 {
-                self.heard = Some(msgs.len());
+                self.heard = Some(*heard);
             }
         }
 
@@ -529,8 +561,10 @@ mod tests {
         struct NeverDecides;
         impl RoundProcess for NeverDecides {
             type Msg = ();
+            type Heard = ();
             fn message(&self, _round: usize) {}
-            fn receive(&mut self, _round: usize, _msgs: &SenderMap<()>) {}
+            fn hear(_round: usize, _msgs: &SenderMap<()>) {}
+            fn receive(&mut self, _round: usize, _heard: &()) {}
             fn decision(&self) -> Option<Val> {
                 None
             }
@@ -747,6 +781,125 @@ mod tests {
                 "{tag}"
             );
         }
+    }
+
+    thread_local! {
+        /// Calls of [`SenderLog::hear`] on this thread.
+        static FOLDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// Keeps each round inbox's sender set; its fold counts its calls.
+    #[derive(Debug, Clone, Default)]
+    struct SenderLog(Vec<ProcessSet>);
+
+    impl RoundProcess for SenderLog {
+        type Msg = ();
+        type Heard = ProcessSet;
+
+        fn message(&self, _round: usize) {}
+
+        fn hear(_round: usize, msgs: &SenderMap<()>) -> ProcessSet {
+            FOLDS.with(|folds| folds.set(folds.get() + 1));
+            msgs.senders()
+        }
+
+        fn receive(&mut self, _round: usize, heard: &ProcessSet) {
+            self.0.push(*heard);
+        }
+
+        fn decision(&self) -> Option<Val> {
+            None
+        }
+    }
+
+    /// Per round: its crashes, its inbox events and the folds made in it.
+    #[derive(Debug)]
+    struct FoldLog {
+        crashes: Vec<u32>,
+        inboxes: Vec<Vec<(ProcessId, ProcessSet)>>,
+        folds: Vec<usize>,
+    }
+
+    impl Observer<Val> for FoldLog {
+        fn on_crash(&mut self, e: &CrashEvent) {
+            self.crashes[e.time.raw() as usize - 1] += 1;
+        }
+        fn on_inbox(&mut self, e: &InboxEvent) {
+            self.inboxes[e.time.raw() as usize - 1].push((e.dst, e.senders));
+        }
+        fn on_round(&mut self, _e: &RoundEvent) {
+            self.folds.push(FOLDS.with(|folds| folds.replace(0)));
+        }
+    }
+
+    #[test]
+    fn each_distinct_round_inbox_is_folded_once() {
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+
+        // 70 processes: sender and receiver sets span two 64-bit limbs.
+        let (n, rounds) = (70, 4);
+        let mut rng = StdRng::seed_from_u64(0xf01d);
+        let mut victims: Vec<usize> = (0..n).collect();
+        victims.shuffle(&mut rng);
+        // Rounds 1 and 4 crash nobody; round 2 has 3 crashers and round 3
+        // has 9, each reaching its own random receivers.
+        let crashes: Vec<RoundCrash> = victims[..12]
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| RoundCrash {
+                round: if i < 3 { 2 } else { 3 },
+                pid: ProcessId::new(v),
+                receivers: (0..n)
+                    .filter(|_| rng.gen_bool(0.5))
+                    .map(ProcessId::new)
+                    .collect(),
+            })
+            .collect();
+        FOLDS.with(|folds| folds.set(0));
+        let mut engine = LockStep::new(vec![SenderLog::default(); n], rounds, &crashes);
+        let mut log = FoldLog {
+            crashes: vec![0; rounds],
+            inboxes: vec![Vec::new(); rounds],
+            folds: Vec::new(),
+        };
+        engine.drive_observed(u64::MAX, &mut log);
+        assert_eq!(log.crashes, [0, 3, 9, 0]);
+        assert_eq!(log.folds.len(), rounds);
+        for (r, inboxes) in log.inboxes.iter().enumerate() {
+            let round = r + 1;
+            let distinct: std::collections::BTreeSet<ProcessSet> =
+                inboxes.iter().map(|&(_, senders)| senders).collect();
+            assert_eq!(
+                log.folds[r],
+                distinct.len(),
+                "round {round}: one fold per inbox"
+            );
+            match log.crashes[r] {
+                0 => assert_eq!(log.folds[r], 1, "round {round}: one fold, no crashes"),
+                c => {
+                    assert!(
+                        distinct.len() > 1,
+                        "round {round}: crashers of distinct reach"
+                    );
+                    assert!(log.folds[r] <= 1 + n.min(1 << c), "round {round}");
+                }
+            }
+            // Each receiver was handed the fold of the inbox the round
+            // reported it consumed.
+            for &(dst, senders) in inboxes {
+                assert_eq!(
+                    engine.procs[dst.index()].0[r],
+                    senders,
+                    "round {round}: {dst}"
+                );
+            }
+        }
+        // A process recorded exactly the rounds it received in.
+        let receptions: usize = log.inboxes.iter().map(Vec::len).sum();
+        let recorded: usize = engine.procs.iter().map(|p| p.0.len()).sum();
+        assert_eq!(receptions, recorded);
     }
 
     #[test]

@@ -161,80 +161,115 @@ fn observer_counts_agree_across_substrates_on_the_border_grid() {
     }
 }
 
-#[test]
-fn generated_lock_step_scenarios_agree_across_substrates() {
-    // Beyond the fixed border grid: ~400 fixed-seed random favourable
-    // scenarios — random n, f, k and inputs, random distinct victims
-    // (some initially dead), crash rounds and receiver subsets — each run
-    // on all three substrates with an event counter attached. A failure
-    // prints the scenario line that replays it.
+/// A random favourable scenario on `n` processes: random f, k and inputs,
+/// random distinct victims (one in eight initially dead), crash rounds and
+/// receiver subsets. It may be invalid.
+fn generated_scenario(n: usize, below: &mut impl FnMut(usize) -> usize) -> Scenario {
+    use kset::sim::{ProcessId, ScenarioCrash};
+
+    let f = below(n);
+    let k = 1 + below(n.min(4));
+    let inputs = (0..n).map(|_| below(2 * n) as u64).collect();
+    let mut scenario = Scenario::favourable(n, f, k).with_inputs(inputs);
+    let mut victims: Vec<usize> = (0..n).collect();
+    for i in 0..below(f + 1) {
+        victims.swap(i, i + below(n - i));
+        let pid = ProcessId::new(victims[i]);
+        if below(8) == 0 {
+            scenario = scenario.with_initially_dead(pid);
+        } else {
+            let round = 1 + below(scenario.rounds);
+            let receivers = (0..n)
+                .filter(|_| below(2) == 0)
+                .map(ProcessId::new)
+                .collect();
+            scenario = scenario.with_crash(ScenarioCrash {
+                pid,
+                round,
+                receivers,
+            });
+        }
+    }
+    scenario
+}
+
+/// Runs a valid scenario on all three substrates with an event counter
+/// attached and checks that they agree; a failure prints the scenario line
+/// that replays it. Returns whether the scenario was valid.
+fn substrates_agree_on(scenario: &Scenario) -> bool {
     use kset::core::scenario::differential::check_observed;
     use kset::core::Val;
     use kset::sim::observe::EventCounter;
-    use kset::sim::sweep::cell_seed;
-    use kset::sim::{ProcessId, ScenarioCrash};
 
-    let mut draws = 0usize;
+    if scenario.validate().is_err() {
+        return false;
+    }
+    let line = scenario.render_line();
+    let mut sim_counter: EventCounter<Val> = EventCounter::new();
+    let mut lock_counter: EventCounter<Val> = EventCounter::new();
+    let mut des_counter: EventCounter<Val> = EventCounter::new();
+    let report = check_observed::<FloodMin>(
+        scenario,
+        &mut sim_counter,
+        &mut lock_counter,
+        &mut des_counter,
+    )
+    .unwrap_or_else(|e| panic!("{line}: {e}"));
+    assert!(report.agrees(), "{line}: {:?}", report.divergences);
+    let (sim, lock, des) = (
+        sim_counter.counts(),
+        lock_counter.counts(),
+        des_counter.counts(),
+    );
+    assert_eq!(sim.transmitted(), lock.transmitted(), "{line}: transmitted");
+    assert_eq!(sim.crashes, lock.crashes, "{line}: crashes");
+    assert_eq!(sim.decides, lock.decides, "{line}: decides");
+    assert_des_matches(&line, &des, &lock, &sim);
+    true
+}
+
+/// `count` generated scenarios with `n` drawn from `sizes` agree across
+/// the substrates, and at least seven in eight of them are valid.
+fn generated_family_agrees(seed: u64, count: usize, sizes: std::ops::RangeInclusive<usize>) {
+    use kset::sim::sweep::cell_seed;
+
+    // A fixed-seed stream: `below(bound)` is the next draw in `0..bound`.
+    let mut drawn = 0usize;
     let mut below = |bound: usize| {
-        draws += 1;
-        (cell_seed(0xd1ff, draws) % bound as u64) as usize
+        drawn += 1;
+        (cell_seed(seed, drawn) % bound as u64) as usize
     };
     let mut checked = 0usize;
-    for _ in 0..400 {
-        let n = 2 + below(30);
-        let f = below(n);
-        let k = 1 + below(n.min(4));
-        let inputs = (0..n).map(|_| below(2 * n) as u64).collect();
-        let mut scenario = Scenario::favourable(n, f, k).with_inputs(inputs);
-        let mut victims: Vec<usize> = (0..n).collect();
-        for i in 0..below(f + 1) {
-            victims.swap(i, i + below(n - i));
-            let pid = ProcessId::new(victims[i]);
-            if below(8) == 0 {
-                scenario = scenario.with_initially_dead(pid);
-            } else {
-                let round = 1 + below(scenario.rounds);
-                let receivers = (0..n)
-                    .filter(|_| below(2) == 0)
-                    .map(ProcessId::new)
-                    .collect();
-                scenario = scenario.with_crash(ScenarioCrash {
-                    pid,
-                    round,
-                    receivers,
-                });
-            }
-        }
-        if scenario.validate().is_err() {
-            continue;
-        }
-        let line = scenario.render_line();
-        let mut sim_counter: EventCounter<Val> = EventCounter::new();
-        let mut lock_counter: EventCounter<Val> = EventCounter::new();
-        let mut des_counter: EventCounter<Val> = EventCounter::new();
-        let report = check_observed::<FloodMin>(
-            &scenario,
-            &mut sim_counter,
-            &mut lock_counter,
-            &mut des_counter,
-        )
-        .unwrap_or_else(|e| panic!("{line}: {e}"));
-        assert!(report.agrees(), "{line}: {:?}", report.divergences);
-        let (sim, lock, des) = (
-            sim_counter.counts(),
-            lock_counter.counts(),
-            des_counter.counts(),
-        );
-        assert_eq!(sim.transmitted(), lock.transmitted(), "{line}: transmitted");
-        assert_eq!(sim.crashes, lock.crashes, "{line}: crashes");
-        assert_eq!(sim.decides, lock.decides, "{line}: decides");
-        assert_des_matches(&line, &des, &lock, &sim);
-        checked += 1;
+    for _ in 0..count {
+        let n = sizes.start() + below(sizes.end() - sizes.start() + 1);
+        let scenario = generated_scenario(n, &mut below);
+        checked += usize::from(substrates_agree_on(&scenario));
     }
     assert!(
-        checked >= 350,
-        "only {checked} of 400 generated scenarios valid"
+        checked * 8 >= count * 7,
+        "only {checked} of {count} generated scenarios valid"
     );
+}
+
+#[test]
+fn generated_lock_step_scenarios_agree_across_substrates() {
+    // Beyond the fixed border grid: 400 fixed-seed random favourable
+    // scenarios with n ≤ 31.
+    generated_family_agrees(0xd1ff, 400, 2..=31);
+}
+
+#[test]
+fn generated_scenarios_across_the_first_limb_boundary_agree() {
+    // n ∈ 62..=68: sender, receiver and crash sets straddle the first
+    // 64-bit limb of ProcessSet.
+    generated_family_agrees(0x11b0, 12, 62..=68);
+}
+
+#[test]
+#[ignore = "≈ 25 s in release; the weekly bench-smoke workflow runs it"]
+fn generated_scenarios_up_to_three_limbs_agree() {
+    // n ∈ 62..=194: the first three limb boundaries.
+    generated_family_agrees(0x31b0, 60, 62..=194);
 }
 
 #[test]
