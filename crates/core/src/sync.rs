@@ -16,7 +16,6 @@
 //! step-level simulator. [`run_sync`] is the traditional one-shot form, now
 //! a thin wrapper over `LockStep`.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use kset_sim::observe::{
@@ -251,21 +250,25 @@ impl<P: RoundProcess> LockStep<P> {
 
     /// Executes one full round, reporting the round's typed events to
     /// `obs` — per the round-substrate contract of [`kset_sim::observe`]:
-    /// one [`BroadcastEvent`] per alive sender (a crashing sender's
-    /// `reached` is its receivers within `0..n`, so the omitted deliveries
-    /// expand to `dropped` sends and *transmitted* counts agree with the
-    /// step substrate), a [`CrashEvent`] after each mid-round crasher's
-    /// broadcast, then per alive receiver one [`InboxEvent`] and a
-    /// [`DecideEvent`] when the receive phase first produced a decision,
-    /// closed by one [`RoundEvent`].
+    /// one [`BroadcastEvent`] for the alive senders that reached everyone,
+    /// then per mid-round crasher, ascending, its own [`BroadcastEvent`]
+    /// (its `reached` is its receivers within `0..n`, so the omitted
+    /// deliveries expand to `dropped` sends and *transmitted* counts agree
+    /// with the step substrate) and its [`CrashEvent`]; then per inbox
+    /// class, in order of smallest receiver, one [`InboxEvent`] and a
+    /// [`DecideEvent`] per receiver of the class, ascending, whose receive
+    /// first produced a decision; closed by one [`RoundEvent`].
     ///
     /// Every round message is a broadcast, so each is stored once, in one
-    /// shared round map. A receiver that every crasher of the round reached
-    /// gets the fold ([`RoundProcess::hear`]) of that map; any other gets
-    /// the fold of a copy without the crashers that missed it. Each
-    /// distinct inbox is folded once, when its first receiver needs it, so
-    /// a round costs O(n) plus one fold per distinct inbox — `c` crashers
-    /// cost at most `min(n, 2^c)` folds.
+    /// shared round map. The alive receivers start as one inbox class, and
+    /// each crasher splits every class into the receivers it reached and
+    /// those it missed, so two receivers share a class exactly when the
+    /// same crashers missed them. The class that no crasher missed gets
+    /// the fold ([`RoundProcess::hear`]) of the shared map; any other gets
+    /// the fold of a copy without the crashers that missed it. Each class's
+    /// inbox is folded once and its fold handed to all its receivers, so
+    /// `c` crashers cost O(c × classes) `ProcessSet` operations, one fold
+    /// per class — at most `min(n, 2^c)` of them — and O(n) receives.
     ///
     /// The round substrate tracks no message ids and does not fingerprint
     /// payloads (round messages need not be hashable), so the id and
@@ -284,74 +287,98 @@ impl<P: RoundProcess> LockStep<P> {
         // kset-lint: allow(unchecked-capacity): try_new already rejected n > ProcessSet::CAPACITY
         let everyone = ProcessSet::full(n);
         let alive = everyone - self.crashed;
+        // The round's crashers, ascending, each with its reach in 0..n.
+        let mut crashers: Vec<(ProcessId, ProcessSet)> = self
+            .crashes
+            .iter()
+            .filter(|c| c.round == round && alive.contains(c.pid))
+            .map(|c| (c.pid, c.receivers & everyone))
+            .collect();
+        crashers.sort_unstable_by_key(|&(pid, _)| pid);
         // Send phase: every alive process broadcasts its round message into
         // the shared map; crashing processes reach their chosen subset only.
         let mut shared = SenderMap::with_capacity(n);
-        let mut crashers: Vec<(ProcessId, ProcessSet)> = Vec::new();
         for src in alive {
             shared.insert(src, self.procs[src.index()].message(round));
-            let crash_now = self
-                .crashes
-                .iter()
-                .find(|c| c.pid == src && c.round == round);
-            let reached = crash_now.map_or(everyone, |c| c.receivers & everyone);
+        }
+        let crashing: ProcessSet = crashers.iter().map(|&(pid, _)| pid).collect();
+        let reaching_all = alive - crashing;
+        if !reaching_all.is_empty() {
             obs.on_broadcast(&BroadcastEvent {
                 time,
-                src,
+                senders: reaching_all,
+                n,
+                reached: everyone,
+            });
+        }
+        for &(pid, reached) in &crashers {
+            self.crashed.insert(pid);
+            obs.on_broadcast(&BroadcastEvent {
+                time,
+                senders: ProcessSet::from([pid]),
                 n,
                 reached,
             });
-            if crash_now.is_some() {
-                crashers.push((src, reached));
-                self.crashed.insert(src);
-                obs.on_crash(&CrashEvent {
-                    time,
-                    pid: src,
-                    after_step: true,
-                });
+            obs.on_crash(&CrashEvent {
+                time,
+                pid,
+                after_step: true,
+            });
+        }
+        // Receive phase: split the alive receivers into inbox classes of
+        // `(receivers, crashers that missed them)`.
+        let mut classes: Vec<(ProcessSet, ProcessSet)> = Vec::new();
+        if !reaching_all.is_empty() {
+            classes.push((reaching_all, ProcessSet::new()));
+        }
+        for &(pid, reached) in &crashers {
+            for i in 0..classes.len() {
+                let (receivers, mut missed) = classes[i];
+                let unreached = receivers - reached;
+                if unreached.is_empty() {
+                    continue;
+                }
+                missed.insert(pid);
+                if unreached == receivers {
+                    classes[i].1 = missed;
+                } else {
+                    classes[i].0 = receivers & reached;
+                    classes.push((unreached, missed));
+                }
             }
         }
-        // Receive phase: every alive process consumes the fold of its round
-        // inbox — the shared map's, or that of the copy without the
-        // crashers it missed, each folded once, when first needed. A fold
-        // keeps its inbox's size, so the round's delivered total costs an
-        // observed drive one load per receiver, not a `ProcessSet` count.
-        let mut heard_all: Option<(P::Heard, usize)> = None;
-        let mut folds: BTreeMap<ProcessSet, (P::Heard, usize)> = BTreeMap::new();
+        classes.sort_unstable_by_key(|&(receivers, _)| receivers.first());
+        // Each class folds its inbox once and hands the fold to every one
+        // of its receivers.
         let mut delivered_total = 0usize;
-        for dst in everyone - self.crashed {
-            let missed: ProcessSet = crashers
-                .iter()
-                .filter(|(_, reached)| !reached.contains(dst))
-                .map(|&(pid, _)| pid)
-                .collect();
+        for (receivers, missed) in classes {
             let (heard, delivered) = if missed.is_empty() {
-                heard_all.get_or_insert_with(|| (P::hear(round, &shared), shared.len()))
+                (P::hear(round, &shared), shared.len())
             } else {
-                folds.entry(missed).or_insert_with(|| {
-                    let mut copy = shared.clone();
-                    for pid in missed {
-                        copy.remove(pid);
-                    }
-                    (P::hear(round, &copy), copy.len())
-                })
+                let mut inbox = shared.clone();
+                for pid in missed {
+                    inbox.remove(pid);
+                }
+                (P::hear(round, &inbox), inbox.len())
             };
-            let p = &mut self.procs[dst.index()];
-            let had_decided = p.decision().is_some();
-            p.receive(round, heard);
-            delivered_total += *delivered;
+            delivered_total += receivers.len() * delivered;
             obs.on_inbox(&InboxEvent {
                 time,
-                dst,
+                receivers,
                 senders: alive - missed,
             });
-            if !had_decided {
-                if let Some(value) = p.decision() {
-                    obs.on_decide(&DecideEvent {
-                        time,
-                        pid: dst,
-                        value,
-                    });
+            for dst in receivers {
+                let p = &mut self.procs[dst.index()];
+                let had_decided = p.decision().is_some();
+                p.receive(round, &heard);
+                if !had_decided {
+                    if let Some(value) = p.decision() {
+                        obs.on_decide(&DecideEvent {
+                            time,
+                            pid: dst,
+                            value,
+                        });
+                    }
                 }
             }
         }
@@ -440,8 +467,9 @@ pub fn run_sync<P: RoundProcess>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kset_sim::observe::{DeliverEvent, HaltEvent, SendEvent};
+    use kset_sim::observe::{DeliverEvent, EventCounts, HaltEvent, SendEvent};
     use kset_sim::StopReason;
+    use std::collections::BTreeMap;
 
     /// Trivial echo: decides the number of senders heard in round 1.
     #[derive(Debug, Clone)]
@@ -672,35 +700,50 @@ mod tests {
     fn round_events_expand_to_the_pinned_per_pair_stream() {
         use Ev::*;
 
-        // 3 processes, 2 rounds; p2 crashes in round 1 reaching only p1.
-        let crash = RoundCrash {
-            round: 1,
-            pid: ProcessId::new(1),
-            receivers: [ProcessId::new(0)].into(),
-        };
-        let mut engine = LockStep::new(vec![CountRound1 { heard: None }; 3], 2, &[crash]);
+        // 4 processes, 2 rounds. p2 crashes in round 1 reaching p1 and
+        // p4; p4 crashes in round 2 reaching only p3.
+        let crashes = [
+            RoundCrash {
+                round: 1,
+                pid: ProcessId::new(1),
+                receivers: [ProcessId::new(0), ProcessId::new(3)].into(),
+            },
+            RoundCrash {
+                round: 2,
+                pid: ProcessId::new(3),
+                receivers: [ProcessId::new(2)].into(),
+            },
+        ];
+        let mut engine = LockStep::new(vec![CountRound1 { heard: None }; 4], 2, &crashes);
         let mut log = PairLog::default();
         engine.drive_observed(u64::MAX, &mut log);
         #[rustfmt::skip]
         let expected = vec![
-            // Round 1, send phase: senders ascending, destinations
-            // ascending, the crash right after the crasher's sends.
-            Send(0, 0, false), Send(0, 1, false), Send(0, 2, false),
-            Send(1, 0, false), Send(1, 1, true), Send(1, 2, true),
+            // Round 1, send phase: the senders that reached everyone,
+            // ascending, each to destinations ascending; then the crasher's
+            // sends and its crash.
+            Send(0, 0, false), Send(0, 1, false), Send(0, 2, false), Send(0, 3, false),
+            Send(2, 0, false), Send(2, 1, false), Send(2, 2, false), Send(2, 3, false),
+            Send(3, 0, false), Send(3, 1, false), Send(3, 2, false), Send(3, 3, false),
+            Send(1, 0, false), Send(1, 1, true), Send(1, 2, true), Send(1, 3, false),
             Crash(1),
-            Send(2, 0, false), Send(2, 1, false), Send(2, 2, false),
-            // Receive phase: alive receivers ascending, each inbox in
-            // sender order, then the receiver's first decision.
-            Deliver(0, 0), Deliver(1, 0), Deliver(2, 0),
-            Decide(0, 3),
-            Deliver(0, 2), Deliver(2, 2),
-            Decide(2, 2),
+            // Receive phase: the class {p1, p4} that heard everyone, then
+            // the class {p3} that missed p2. Each class's receivers get
+            // their inboxes ascending, then the class's first decisions.
+            Deliver(0, 0), Deliver(1, 0), Deliver(2, 0), Deliver(3, 0),
+            Deliver(0, 3), Deliver(1, 3), Deliver(2, 3), Deliver(3, 3),
+            Decide(0, 4), Decide(3, 4),
+            Deliver(0, 2), Deliver(2, 2), Deliver(3, 2),
+            Decide(2, 3),
             Round(1),
-            // Round 2: the crasher is silent; no new decisions.
-            Send(0, 0, false), Send(0, 1, false), Send(0, 2, false),
-            Send(2, 0, false), Send(2, 1, false), Send(2, 2, false),
+            // Round 2: p2 is silent and p4 crashes reaching only p3. The
+            // class {p1} that missed p4 comes first, by smallest receiver.
+            Send(0, 0, false), Send(0, 1, false), Send(0, 2, false), Send(0, 3, false),
+            Send(2, 0, false), Send(2, 1, false), Send(2, 2, false), Send(2, 3, false),
+            Send(3, 0, true), Send(3, 1, true), Send(3, 2, false), Send(3, 3, true),
+            Crash(3),
             Deliver(0, 0), Deliver(2, 0),
-            Deliver(0, 2), Deliver(2, 2),
+            Deliver(0, 2), Deliver(2, 2), Deliver(3, 2),
             Round(2),
             Halt,
         ];
@@ -812,11 +855,12 @@ mod tests {
         }
     }
 
-    /// Per round: its crashes, its inbox events and the folds made in it.
+    /// Per round: its crashes, its inbox events as `(receivers, senders)`
+    /// and the folds made in it.
     #[derive(Debug)]
     struct FoldLog {
         crashes: Vec<u32>,
-        inboxes: Vec<Vec<(ProcessId, ProcessSet)>>,
+        inboxes: Vec<Vec<(ProcessSet, ProcessSet)>>,
         folds: Vec<usize>,
     }
 
@@ -825,7 +869,7 @@ mod tests {
             self.crashes[e.time.raw() as usize - 1] += 1;
         }
         fn on_inbox(&mut self, e: &InboxEvent) {
-            self.inboxes[e.time.raw() as usize - 1].push((e.dst, e.senders));
+            self.inboxes[e.time.raw() as usize - 1].push((e.receivers, e.senders));
         }
         fn on_round(&mut self, _e: &RoundEvent) {
             self.folds.push(FOLDS.with(|folds| folds.replace(0)));
@@ -869,37 +913,294 @@ mod tests {
         assert_eq!(log.folds.len(), rounds);
         for (r, inboxes) in log.inboxes.iter().enumerate() {
             let round = r + 1;
-            let distinct: std::collections::BTreeSet<ProcessSet> =
-                inboxes.iter().map(|&(_, senders)| senders).collect();
             assert_eq!(
                 log.folds[r],
-                distinct.len(),
-                "round {round}: one fold per inbox"
+                inboxes.len(),
+                "round {round}: one inbox event per fold"
             );
+            // The classes partition the round's alive receivers, in order
+            // of smallest receiver, and no two heard the same senders.
+            let alive: ProcessSet = ProcessId::all(n)
+                .filter(|&p| !crashes.iter().any(|c| c.pid == p && c.round <= round))
+                .collect();
+            let mut covered = ProcessSet::new();
+            for &(receivers, _) in inboxes {
+                assert!(!receivers.is_empty(), "round {round}: empty class");
+                assert!(
+                    (covered & receivers).is_empty(),
+                    "round {round}: overlapping classes"
+                );
+                covered |= receivers;
+            }
+            assert_eq!(covered, alive, "round {round}: classes cover the alive");
+            assert!(
+                inboxes.windows(2).all(|w| w[0].0.first() < w[1].0.first()),
+                "round {round}: classes ordered by smallest receiver"
+            );
+            let distinct: std::collections::BTreeSet<ProcessSet> =
+                inboxes.iter().map(|&(_, senders)| senders).collect();
+            assert_eq!(distinct.len(), inboxes.len(), "round {round}");
             match log.crashes[r] {
                 0 => assert_eq!(log.folds[r], 1, "round {round}: one fold, no crashes"),
                 c => {
                     assert!(
-                        distinct.len() > 1,
+                        log.folds[r] > 1,
                         "round {round}: crashers of distinct reach"
                     );
-                    assert!(log.folds[r] <= 1 + n.min(1 << c), "round {round}");
+                    assert!(log.folds[r] <= n.min(1 << c), "round {round}");
                 }
             }
-            // Each receiver was handed the fold of the inbox the round
-            // reported it consumed.
-            for &(dst, senders) in inboxes {
-                assert_eq!(
-                    engine.procs[dst.index()].0[r],
-                    senders,
-                    "round {round}: {dst}"
-                );
+            // Each receiver was handed the fold of its class's inbox.
+            for &(receivers, senders) in inboxes {
+                for dst in receivers {
+                    assert_eq!(
+                        engine.procs[dst.index()].0[r],
+                        senders,
+                        "round {round}: {dst}"
+                    );
+                }
             }
         }
         // A process recorded exactly the rounds it received in.
-        let receptions: usize = log.inboxes.iter().map(Vec::len).sum();
+        let receptions: usize = log
+            .inboxes
+            .iter()
+            .flatten()
+            .map(|(receivers, _)| receivers.len())
+            .sum();
         let recorded: usize = engine.procs.iter().map(|p| p.0.len()).sum();
         assert_eq!(receptions, recorded);
+    }
+
+    /// Floods the minimum like FloodMin, decides it after its own round
+    /// `decide_at`, and keeps the sender set of every inbox it is handed.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct MinWatch {
+        min: Val,
+        decide_at: usize,
+        decided: Option<Val>,
+        heard: Vec<ProcessSet>,
+    }
+
+    impl RoundProcess for MinWatch {
+        type Msg = Val;
+        type Heard = (Option<Val>, ProcessSet);
+
+        fn message(&self, _round: usize) -> Val {
+            self.min
+        }
+
+        fn hear(_round: usize, msgs: &SenderMap<Val>) -> (Option<Val>, ProcessSet) {
+            (msgs.values().min().copied(), msgs.senders())
+        }
+
+        fn receive(&mut self, round: usize, heard: &(Option<Val>, ProcessSet)) {
+            if let Some(m) = heard.0 {
+                self.min = self.min.min(m);
+            }
+            self.heard.push(heard.1);
+            if round == self.decide_at {
+                self.decided = Some(self.min);
+            }
+        }
+
+        fn decision(&self) -> Option<Val> {
+            self.decided
+        }
+    }
+
+    /// What one round of the per-receiver reference did.
+    #[derive(Debug, Default)]
+    struct ReferenceRound {
+        /// The senders each alive receiver heard, by receiver.
+        inboxes: BTreeMap<ProcessId, ProcessSet>,
+        /// The round's first decisions, ascending by process.
+        decided: Vec<(ProcessId, Val)>,
+        /// The round's per-pair event totals.
+        counts: EventCounts,
+        /// Round messages consumed by alive receivers.
+        delivered: usize,
+    }
+
+    /// One lock-step round, executed receiver by receiver: each alive
+    /// receiver's missed crashers, then the fold of the shared inbox
+    /// without them, cached per missed set. This is the round body before
+    /// receivers were grouped into inbox classes, kept as the reference
+    /// the grouped executor is checked against.
+    fn reference_round<P: RoundProcess>(
+        procs: &mut [P],
+        crashed: &mut ProcessSet,
+        crashes: &[RoundCrash],
+        round: usize,
+    ) -> ReferenceRound {
+        let n = procs.len();
+        let everyone: ProcessSet = ProcessId::all(n).collect();
+        let alive = everyone - *crashed;
+        let mut out = ReferenceRound::default();
+        let mut shared = SenderMap::with_capacity(n);
+        let mut crashers: Vec<(ProcessId, ProcessSet)> = Vec::new();
+        for src in alive {
+            shared.insert(src, procs[src.index()].message(round));
+            let crash_now = crashes.iter().find(|c| c.pid == src && c.round == round);
+            let reached = crash_now.map_or(everyone, |c| c.receivers & everyone);
+            out.counts.sends += n as u64;
+            out.counts.dropped += (n - reached.len()) as u64;
+            if crash_now.is_some() {
+                crashers.push((src, reached));
+                crashed.insert(src);
+                out.counts.crashes += 1;
+            }
+        }
+        let mut folds: BTreeMap<ProcessSet, (P::Heard, usize)> = BTreeMap::new();
+        for dst in everyone - *crashed {
+            let missed: ProcessSet = crashers
+                .iter()
+                .filter(|(_, reached)| !reached.contains(dst))
+                .map(|&(pid, _)| pid)
+                .collect();
+            let (heard, delivered) = folds.entry(missed).or_insert_with(|| {
+                let mut copy = shared.clone();
+                for pid in missed {
+                    copy.remove(pid);
+                }
+                (P::hear(round, &copy), copy.len())
+            });
+            let p = &mut procs[dst.index()];
+            let had_decided = p.decision().is_some();
+            p.receive(round, heard);
+            out.delivered += *delivered;
+            out.inboxes.insert(dst, alive - missed);
+            if !had_decided {
+                if let Some(value) = p.decision() {
+                    out.decided.push((dst, value));
+                }
+            }
+        }
+        out.counts.delivers = out.delivered as u64;
+        out.counts.decides = out.decided.len() as u64;
+        out.counts.rounds = 1;
+        out
+    }
+
+    /// The executor's round events as the provided per-pair expansions
+    /// deliver them: each receiver's senders, counted pair by pair.
+    #[derive(Debug, Default)]
+    struct Expanded {
+        inboxes: BTreeMap<ProcessId, ProcessSet>,
+        counter: PerPairCounter,
+        delivered: Option<usize>,
+    }
+
+    impl Observer<Val> for Expanded {
+        fn on_send(&mut self, e: &SendEvent) {
+            self.counter.on_send(e);
+        }
+        fn on_deliver(&mut self, e: &DeliverEvent) {
+            self.inboxes.entry(e.dst).or_default().insert(e.src);
+            self.counter.on_deliver(e);
+        }
+        fn on_crash(&mut self, e: &CrashEvent) {
+            self.counter.on_crash(e);
+        }
+        fn on_decide(&mut self, e: &DecideEvent<Val>) {
+            self.counter.on_decide(e);
+        }
+        fn on_round(&mut self, e: &RoundEvent) {
+            self.delivered = Some(e.delivered);
+            self.counter.on_round(e);
+        }
+    }
+
+    #[test]
+    fn inbox_classes_match_the_per_receiver_reference() {
+        use kset_sim::observe::EventCounter;
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0xc1a55);
+        // Every limb boundary the capacity has, then random sizes.
+        let mut sizes = vec![1, 2, 3, 63, 64, 65, 127, 128, 129, 511, 512];
+        sizes.extend((0..13).map(|_| rng.gen_range(1..=ProcessSet::CAPACITY)));
+        for (case, &n) in sizes.iter().enumerate() {
+            let rounds = rng.gen_range(1..=4usize);
+            let mut victims: Vec<usize> = (0..n).collect();
+            victims.shuffle(&mut rng);
+            let mut victims = victims.into_iter();
+            // 0–12 crashers per round. A reach is empty, everyone, all of
+            // the capacity, or a random part of 0..n or of the capacity;
+            // the executor must clip the ids ≥ n.
+            let mut crashes = Vec::new();
+            for round in 1..=rounds {
+                let c = rng.gen_range(0..=12usize);
+                for v in victims.by_ref().take(c) {
+                    let density = f64::from(rng.gen_range(1..=3u32)) / 4.0;
+                    let receivers: ProcessSet = match rng.gen_range(0..8u32) {
+                        0 => ProcessSet::new(),
+                        1 => ProcessId::all(n).collect(),
+                        2 => ProcessId::all(ProcessSet::CAPACITY).collect(),
+                        3..=5 => ProcessId::all(n)
+                            .filter(|_| rng.gen_bool(density))
+                            .collect(),
+                        _ => ProcessId::all(ProcessSet::CAPACITY)
+                            .filter(|_| rng.gen_bool(density))
+                            .collect(),
+                    };
+                    crashes.push(RoundCrash {
+                        round,
+                        pid: ProcessId::new(v),
+                        receivers,
+                    });
+                }
+            }
+            let procs: Vec<MinWatch> = (0..n)
+                .map(|_| MinWatch {
+                    min: rng.gen_range(0..=1000u64) as Val,
+                    decide_at: rng.gen_range(1..=rounds),
+                    decided: None,
+                    heard: Vec::new(),
+                })
+                .collect();
+            let mut engine = LockStep::new(procs.clone(), rounds, &crashes);
+            let mut expanded_engine = engine.clone();
+            let mut reference = procs;
+            let mut reference_crashed = ProcessSet::new();
+            let mut bulk: EventCounter<Val> = EventCounter::new();
+            let mut expanded = Expanded::default();
+            let mut expected = EventCounts::default();
+            for round in 1..=rounds {
+                let tag = format!("case {case}: n={n} round {round}/{rounds}");
+                let want = reference_round(&mut reference, &mut reference_crashed, &crashes, round);
+                let decided_before = bulk.decisions().len();
+                assert!(engine.advance_observed(&mut bulk), "{tag}");
+                expanded.inboxes.clear();
+                assert!(expanded_engine.advance_observed(&mut expanded), "{tag}");
+
+                assert_eq!(engine.procs, reference, "{tag}: folds handed out");
+                assert_eq!(engine.crashed(), reference_crashed, "{tag}");
+                let mut decided = bulk.decisions()[decided_before..].to_vec();
+                decided.sort_unstable();
+                assert_eq!(decided, want.decided, "{tag}: first decisions");
+                assert_eq!(
+                    expanded.inboxes, want.inboxes,
+                    "{tag}: per-receiver senders"
+                );
+                assert_eq!(expanded.delivered, Some(want.delivered), "{tag}: delivered");
+                expected.sends += want.counts.sends;
+                expected.dropped += want.counts.dropped;
+                expected.delivers += want.counts.delivers;
+                expected.crashes += want.counts.crashes;
+                expected.decides += want.counts.decides;
+                expected.rounds += want.counts.rounds;
+                assert_eq!(bulk.counts(), expected, "{tag}: grouped counts");
+                assert_eq!(
+                    expanded.counter.0.counts(),
+                    expected,
+                    "{tag}: per-pair counts"
+                );
+            }
+            assert_eq!(expanded_engine.procs, engine.procs, "case {case}");
+        }
     }
 
     #[test]

@@ -27,26 +27,32 @@
 //!   predate any drive;
 //!   [`Engine::drive_observed`](crate::Engine::drive_observed) replays them to the
 //!   observer up front (`after_step == false`).
-//! * **round substrate** (one lock-step round): per alive sender, in
-//!   ascending id order, one [`Observer::on_broadcast`] for its round
-//!   message — followed by [`Observer::on_crash`] when the sender crashes
-//!   mid-round — then per alive receiver, ascending, one
-//!   [`Observer::on_inbox`] naming the senders it heard and
-//!   [`Observer::on_decide`] when the receive phase first produced a
-//!   decision, and finally [`Observer::on_round`] closing the round.
+//! * **round substrate** (one lock-step round): one
+//!   [`Observer::on_broadcast`] for the alive senders whose round message
+//!   reached everyone, when there are any, then per mid-round crasher, in
+//!   ascending id order, its own [`Observer::on_broadcast`] followed by
+//!   [`Observer::on_crash`]; then per *inbox class* — the alive receivers
+//!   that heard the same senders — in order of each class's smallest
+//!   receiver, one [`Observer::on_inbox`] naming the class's receivers and
+//!   the senders they heard, followed by [`Observer::on_decide`] for each
+//!   receiver of the class, ascending, whose receive first produced a
+//!   decision; and finally [`Observer::on_round`] closing the round.
 //! * Both substrates: [`Observer::on_halt`] exactly once, when
 //!   [`Engine::drive_observed`](crate::Engine::drive_observed) stops.
 //!
-//! The two round events are bulk forms of the per-pair stream, and their
-//! provided implementations expand into it: a [`BroadcastEvent`] becomes
-//! one [`Observer::on_send`] per destination `0..n`, ascending, with the
-//! destinations the broadcast did not reach marked `dropped` (a crashing
-//! sender's omitted deliveries — so *transmitted* send counts agree with
-//! the step substrate); an [`InboxEvent`] becomes one
+//! The two round events are grouped forms of the per-pair stream, and
+//! their provided implementations expand into it: a [`BroadcastEvent`]
+//! becomes, per sender ascending, one [`Observer::on_send`] per
+//! destination `0..n`, ascending, with the destinations the broadcast did
+//! not reach marked `dropped` (a crashing sender's omitted deliveries — so
+//! *transmitted* send counts agree with the step substrate); an
+//! [`InboxEvent`] becomes, per receiver ascending, one
 //! [`Observer::on_deliver`] per sender heard, ascending. An observer that
-//! implements only the per-pair methods therefore sees exactly the stream
-//! a per-pair round executor would emit. [`EventCounter`] overrides both to
-//! count a round in O(1) per sender and receiver instead of O(n), and
+//! implements only the per-pair methods therefore sees every pair a
+//! per-pair round executor would emit, in class order: the
+//! fully-reaching senders before the crashers, and a class's receivers
+//! before the next class's. [`EventCounter`] overrides both to count a
+//! grouped event with at most two set sizes and two multiplications, and
 //! [`NoObserver`] overrides both with no-ops.
 //!
 //! The round substrate carries no message ids and does not fingerprint
@@ -165,30 +171,38 @@ pub struct StepEvent {
     pub sent: usize,
 }
 
-/// One round message broadcast to all `n` processes (round substrate
-/// only): the bulk form of `n` [`SendEvent`]s from `src`.
+/// Round messages broadcast to all `n` processes by a group of senders
+/// that reached the same destinations (round substrate only): the bulk
+/// form of `n` [`SendEvent`]s per sender.
+///
+/// A round reports its fully-reaching senders as one group and each
+/// mid-round crasher as a group of one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BroadcastEvent {
     /// The round being sent (1-based).
     pub time: Time,
-    /// The broadcasting process.
-    pub src: ProcessId,
-    /// The system size: the broadcast addresses destinations `0..n`.
+    /// The broadcasting processes.
+    pub senders: ProcessSet,
+    /// The system size: each broadcast addresses destinations `0..n`.
     pub n: usize,
-    /// The destinations the message reached, a subset of `0..n`: all of
-    /// them, or a crashing sender's chosen receivers.
+    /// The destinations every sender's message reached, a subset of
+    /// `0..n`: all of them, or a crashing sender's chosen receivers.
     pub reached: ProcessSet,
 }
 
-/// One round inbox consumed by an alive receiver (round substrate only):
-/// the bulk form of one [`DeliverEvent`] per sender heard.
+/// One round inbox consumed by a class of alive receivers that heard the
+/// same senders (round substrate only): the bulk form of one
+/// [`DeliverEvent`] per receiver and sender heard.
+///
+/// A round's classes partition its alive receivers; two receivers share
+/// a class exactly when the same mid-round crashers missed them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InboxEvent {
     /// The round being received (1-based).
     pub time: Time,
-    /// The consuming process.
-    pub dst: ProcessId,
-    /// The senders whose round message reached `dst`.
+    /// The consuming processes.
+    pub receivers: ProcessSet,
+    /// The senders whose round message reached every one of `receivers`.
     pub senders: ProcessSet,
 }
 
@@ -282,34 +296,39 @@ pub trait Observer<V> {
         let _ = event;
     }
 
-    /// A round message was broadcast (round substrate only). The default
-    /// expands it into one [`Observer::on_send`] per destination `0..n`,
-    /// ascending, marking the destinations outside `reached` as `dropped`.
+    /// A group of round messages was broadcast (round substrate only).
+    /// The default expands it, per sender ascending, into one
+    /// [`Observer::on_send`] per destination `0..n`, ascending, marking
+    /// the destinations outside `reached` as `dropped`.
     fn on_broadcast(&mut self, event: &BroadcastEvent) {
-        for dst in ProcessId::all(event.n) {
-            self.on_send(&SendEvent {
-                time: event.time,
-                src: event.src,
-                dst,
-                id: None,
-                payload_fp: None,
-                dropped: !event.reached.contains(dst),
-            });
+        for src in event.senders {
+            for dst in ProcessId::all(event.n) {
+                self.on_send(&SendEvent {
+                    time: event.time,
+                    src,
+                    dst,
+                    id: None,
+                    payload_fp: None,
+                    dropped: !event.reached.contains(dst),
+                });
+            }
         }
     }
 
-    /// A receiver consumed its round inbox (round substrate only). The
-    /// default expands it into one [`Observer::on_deliver`] per sender,
-    /// ascending.
+    /// A class of receivers consumed one round inbox (round substrate
+    /// only). The default expands it, per receiver ascending, into one
+    /// [`Observer::on_deliver`] per sender, ascending.
     fn on_inbox(&mut self, event: &InboxEvent) {
-        for src in event.senders {
-            self.on_deliver(&DeliverEvent {
-                time: event.time,
-                src,
-                dst: event.dst,
-                id: None,
-                payload_fp: None,
-            });
+        for dst in event.receivers {
+            for src in event.senders {
+                self.on_deliver(&DeliverEvent {
+                    time: event.time,
+                    src,
+                    dst,
+                    id: None,
+                    payload_fp: None,
+                });
+            }
         }
     }
 
@@ -392,6 +411,12 @@ impl EventCounts {
 /// An [`Observer`] that counts every event and remembers the decided
 /// values — the "consistent observation" both substrates must agree on for
 /// one lock-step scenario (see the [module docs](self)).
+///
+/// It counts a grouped round event without expanding it: a
+/// [`BroadcastEvent`] adds `n · |senders|` sends, of which
+/// `(n − |reached|) · |senders|` dropped, and an [`InboxEvent`] adds
+/// `|receivers| · |senders|` deliveries — at most two set sizes per
+/// event and no loop over its members.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EventCounter<V> {
     counts: EventCounts,
@@ -444,12 +469,13 @@ impl<V: Clone> Observer<V> for EventCounter<V> {
     }
 
     fn on_broadcast(&mut self, event: &BroadcastEvent) {
-        self.counts.sends += event.n as u64;
-        self.counts.dropped += (event.n - event.reached.len()) as u64;
+        let senders = event.senders.len() as u64;
+        self.counts.sends += event.n as u64 * senders;
+        self.counts.dropped += (event.n - event.reached.len()) as u64 * senders;
     }
 
     fn on_inbox(&mut self, event: &InboxEvent) {
-        self.counts.delivers += event.senders.len() as u64;
+        self.counts.delivers += (event.receivers.len() * event.senders.len()) as u64;
     }
 
     fn on_fd_sample(&mut self, _event: &FdSampleEvent) {
