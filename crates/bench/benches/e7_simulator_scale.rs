@@ -17,7 +17,7 @@ use kset_core::scenario::{differential, to_lockstep, RoundAdapter};
 use kset_core::sync::LockStep;
 use kset_core::task::distinct_proposals;
 use kset_impossibility::lemma12_no_fd;
-use kset_sim::observe::{EventCounter, NoObserver};
+use kset_sim::observe::EventCounter;
 use kset_sim::sched::partition::{PartitionScheduler, ReleasePolicy};
 use kset_sim::sched::random::SeededRandom;
 use kset_sim::sched::round_robin::RoundRobin;
@@ -384,13 +384,11 @@ fn bench_scenario(c: &mut Criterion) {
     group.finish();
 }
 
-/// The observation-layer guardrail: `drive` (the statically-dispatched
-/// unobserved loop) vs `drive_observed` with a no-op observer (the dynamic
-/// event stream, discarded) vs a counting observer (the cheapest real
-/// consumer) — on both substrates. The redesign's claim is that the
-/// abstraction is free when unobserved and within noise for a no-op
-/// observer; the measured numbers live in ARCHITECTURE.md's Observation
-/// layer section.
+/// The observation-layer guardrail: `drive` (the unit body run with a
+/// `NoObserver`) vs `drive_observed` with a counting observer (the
+/// cheapest real consumer) — on the step and round substrates. The
+/// difference is what observing costs; the measured numbers live in
+/// ARCHITECTURE.md's Observation layer section.
 fn bench_observe(c: &mut Criterion) {
     let mut group = c.benchmark_group("e7_observe");
     group.sample_size(30);
@@ -411,12 +409,6 @@ fn bench_observe(c: &mut Criterion) {
             black_box(engine.drive(100_000).steps)
         });
     });
-    group.bench_function("sim_drive_observed_noop", |b| {
-        b.iter(|| {
-            let mut engine = make_sim();
-            black_box(engine.drive_observed(100_000, &mut NoObserver).steps)
-        });
-    });
     group.bench_function("sim_drive_observed_counter", |b| {
         b.iter(|| {
             let mut engine = make_sim();
@@ -435,12 +427,6 @@ fn bench_observe(c: &mut Criterion) {
         b.iter(|| {
             let mut engine = make_lockstep();
             black_box(engine.drive(u64::MAX).steps)
-        });
-    });
-    group.bench_function("lockstep_drive_observed_noop", |b| {
-        b.iter(|| {
-            let mut engine = make_lockstep();
-            black_box(engine.drive_observed(u64::MAX, &mut NoObserver).steps)
         });
     });
     group.bench_function("lockstep_drive_observed_counter", |b| {

@@ -416,9 +416,9 @@ pub mod differential {
     /// As [`check`].
     pub fn check_observed<P>(
         scenario: &Scenario,
-        sim_obs: &mut dyn Observer<Val>,
-        lockstep_obs: &mut dyn Observer<Val>,
-        des_obs: &mut dyn Observer<Val>,
+        sim_obs: &mut impl Observer<Val>,
+        lockstep_obs: &mut impl Observer<Val>,
+        des_obs: &mut impl Observer<Val>,
     ) -> Result<DiffReport, ScenarioError>
     where
         P: ScenarioRounds + Hash + 'static,

@@ -19,7 +19,7 @@
 use std::fmt;
 
 use kset_sim::observe::{
-    BroadcastEvent, CrashEvent, DecideEvent, InboxEvent, NoObserver, Observer, RoundEvent,
+    BroadcastEvent, CrashEvent, DecideEvent, InboxEvent, Observer, RoundEvent,
 };
 use kset_sim::{CapacityError, Engine, ProcessId, ProcessSet, SenderMap, Time};
 
@@ -243,21 +243,17 @@ impl<P: RoundProcess> LockStep<P> {
         }
     }
 
-    /// Executes one full round (send phase, then receive phase).
-    fn execute_round(&mut self) {
-        self.execute_round_observed(&mut NoObserver);
-    }
-
-    /// Executes one full round, reporting the round's typed events to
-    /// `obs` — per the round-substrate contract of [`kset_sim::observe`]:
-    /// one [`BroadcastEvent`] for the alive senders that reached everyone,
-    /// then per mid-round crasher, ascending, its own [`BroadcastEvent`]
-    /// (its `reached` is its receivers within `0..n`, so the omitted
-    /// deliveries expand to `dropped` sends and *transmitted* counts agree
-    /// with the step substrate) and its [`CrashEvent`]; then per inbox
-    /// class, in order of smallest receiver, one [`InboxEvent`] and a
-    /// [`DecideEvent`] per receiver of the class, ascending, whose receive
-    /// first produced a decision; closed by one [`RoundEvent`].
+    /// Executes one full round (send phase, then receive phase), reporting
+    /// the round's typed events to `obs` — per the round-substrate
+    /// contract of [`kset_sim::observe`]: one [`BroadcastEvent`] for the
+    /// alive senders that reached everyone, then per mid-round crasher,
+    /// ascending, its own [`BroadcastEvent`] (its `reached` is its
+    /// receivers within `0..n`, so the omitted deliveries expand to
+    /// `dropped` sends and *transmitted* counts agree with the step
+    /// substrate) and its [`CrashEvent`]; then per inbox class, in order
+    /// of smallest receiver, one [`InboxEvent`] and a [`DecideEvent`] per
+    /// receiver of the class, ascending, whose receive first produced a
+    /// decision; closed by one [`RoundEvent`].
     ///
     /// Every round message is a broadcast, so each is stored once, in one
     /// shared round map. The alive receivers start as one inbox class, and
@@ -275,8 +271,8 @@ impl<P: RoundProcess> LockStep<P> {
     /// fingerprint fields of the expanded send/deliver events are `None`.
     /// `time` on every event is the 1-based round number.
     ///
-    /// The unobserved [`LockStep::advance`] is this method with a
-    /// [`NoObserver`], monomorphized away.
+    /// The unobserved [`Engine::advance`] runs this with a
+    /// [`NoObserver`](kset_sim::NoObserver), whose callbacks compile away.
     fn execute_round_observed<Ob>(&mut self, obs: &mut Ob)
     where
         Ob: Observer<Val> + ?Sized,
@@ -398,26 +394,14 @@ impl<P: RoundProcess> Engine for LockStep<P> {
         self.procs.len()
     }
 
-    fn advance(&mut self) -> bool {
+    fn advance_observed<Ob>(&mut self, obs: &mut Ob) -> bool
+    where
+        Ob: Observer<Val> + ?Sized,
+    {
         if self.round >= self.max_rounds {
             return false;
         }
-        self.execute_round();
-        true
-    }
-
-    fn advance_observed(&mut self, obs: &mut dyn Observer<Val>) -> bool {
-        if self.round >= self.max_rounds {
-            return false;
-        }
-        if obs.observes_events() {
-            self.execute_round_observed(obs);
-        } else {
-            // One virtual check instead of one virtual call per event:
-            // the monomorphized no-op path keeps observed-but-no-op
-            // drives at parity with plain `drive`.
-            self.execute_round();
-        }
+        self.execute_round_observed(obs);
         true
     }
 

@@ -6,19 +6,10 @@
 //! can be validated post-hoc against the class definitions (Definitions 4,
 //! 5 and 7) by the checkers in [`crate::checkers`] — this is how Lemma 9
 //! ("(Σk,Ωk) is weaker than (Σ′k,Ω′k)") is verified executably.
-//!
-//! History recording also rides the workspace's uniform observation API:
-//! [`HistoryObserver`] is a [`kset_sim::observe::Observer`] that rebuilds
-//! the query history — at the fingerprint level the engine reports — from
-//! the [`FdSampleEvent`] stream of any observed drive, with no oracle
-//! wrapping at all. [`History::fingerprints`] projects a sample-level
-//! history onto the same representation, so the two recording paths can
-//! be compared entry for entry (and are, in this module's tests).
 
 use std::collections::BTreeMap;
 
-use kset_sim::observe::{FdSampleEvent, Observer};
-use kset_sim::{fingerprint, FailurePattern, Oracle, ProcessId, ProcessSet, Time};
+use kset_sim::{FailurePattern, Oracle, ProcessId, ProcessSet, Time};
 
 /// A finite recorded history: every `(p, t)` that was actually queried,
 /// with its sample.
@@ -100,24 +91,6 @@ impl<S> History<S> {
     pub fn is_empty(&self) -> bool {
         self.samples.is_empty()
     }
-
-    /// The fingerprint-level projection of this history: every sample
-    /// replaced by its 64-bit fingerprint — the representation the engine
-    /// reports through [`FdSampleEvent`]s, so a sample-level history
-    /// captured by a [`Recorder`] can be compared entry for entry with the
-    /// history a [`HistoryObserver`] rebuilt from the event stream.
-    pub fn fingerprints(&self) -> History<u64>
-    where
-        S: std::hash::Hash,
-    {
-        History {
-            samples: self
-                .samples
-                .iter()
-                .map(|(key, s)| (*key, fingerprint(s)))
-                .collect(),
-        }
-    }
 }
 
 /// Oracle wrapper that records every sample it hands out.
@@ -170,47 +143,6 @@ impl<O: Oracle> Oracle for Recorder<O> {
     }
 }
 
-/// Detector-history recording on the uniform observation API: rebuilds the
-/// query history `H(p, t)` — at the fingerprint level — from the
-/// [`FdSampleEvent`] stream of any
-/// [`drive_observed`](kset_sim::Engine::drive_observed), with no oracle
-/// wrapping.
-///
-/// Where [`Recorder`] captures the actual *samples* (which the class
-/// checkers like [`check_sigma_k`](crate::check_sigma_k) need), this
-/// observer captures what the engine itself certifies about the run:
-/// which `(p, t)` pairs queried, and the fingerprint of each answer. For
-/// the same run the two agree via [`History::fingerprints`].
-#[derive(Debug, Clone, Default)]
-pub struct HistoryObserver {
-    history: History<u64>,
-}
-
-impl HistoryObserver {
-    /// An observer with an empty history.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The fingerprint history recorded so far.
-    pub fn history(&self) -> &History<u64> {
-        &self.history
-    }
-
-    /// Consumes the observer, returning the history.
-    pub fn into_history(self) -> History<u64> {
-        self.history
-    }
-}
-
-impl<V> Observer<V> for HistoryObserver {
-    fn on_fd_sample(&mut self, event: &FdSampleEvent) {
-        if let Some(fp) = event.fd_fp {
-            self.history.record(event.pid, event.time, fp);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,56 +180,6 @@ mod tests {
         assert!(h.is_empty());
         assert_eq!(h.horizon(), None);
         assert!(h.queriers().is_empty());
-    }
-
-    #[test]
-    fn history_observer_matches_oracle_recorder() {
-        // The two recording paths — the oracle-wrapping Recorder and the
-        // engine-event HistoryObserver — must agree entry for entry on the
-        // same run, at the fingerprint level.
-        use kset_sim::sched::round_robin::RoundRobin;
-        use kset_sim::{
-            CrashPlan, Effects, Engine, Envelope, Process, ProcessInfo, SimEngine, Simulation,
-        };
-
-        #[derive(Debug, Clone, Hash)]
-        struct Probe {
-            ticks: u64,
-        }
-        impl Process for Probe {
-            type Msg = ();
-            type Input = ();
-            type Output = u64;
-            type Fd = u64;
-            fn init(_info: ProcessInfo, _input: ()) -> Self {
-                Probe { ticks: 0 }
-            }
-            fn step(
-                &mut self,
-                _delivered: &[Envelope<()>],
-                fd: Option<&u64>,
-                effects: &mut Effects<(), u64>,
-            ) {
-                self.ticks += 1;
-                if self.ticks >= 3 {
-                    effects.decide(*fd.expect("oracle-backed run"));
-                }
-            }
-        }
-
-        let oracle = FnOracle::new(|p: ProcessId, t: Time, _fp: &FailurePattern| {
-            p.index() as u64 * 1000 + t.raw()
-        });
-        let mut rec = Recorder::new(oracle);
-        let sim: Simulation<Probe, _> =
-            Simulation::with_oracle(vec![(), ()], &mut rec, CrashPlan::none());
-        let mut engine = SimEngine::new(sim, RoundRobin::new());
-        let mut observer = HistoryObserver::new();
-        engine.drive_observed(100, &mut observer);
-        drop(engine);
-        assert!(!rec.history().is_empty());
-        assert_eq!(rec.history().len(), observer.history().len());
-        assert_eq!(rec.history().fingerprints(), *observer.history());
     }
 
     #[test]

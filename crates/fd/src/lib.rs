@@ -13,9 +13,7 @@
 //!   [`PartitionSigmaOmega`] — the (Σ′k,Ω′k) of Definition 7 —,
 //!   [`RealisticSigmaOmega`], [`LonelinessOracle`].
 //! * **Histories** — [`History`], [`Recorder`]: capture `H(p, t)` for
-//!   post-hoc validation; [`HistoryObserver`] records the same query
-//!   history (at fingerprint level) through the engine-agnostic
-//!   [`kset_sim::observe::Observer`] API.
+//!   post-hoc validation.
 //! * **Checkers** — [`check_sigma_k`], [`check_omega_k`],
 //!   [`check_partition_sigma`], [`check_loneliness`]: executable forms of
 //!   the class definitions; Lemma 9 is verified by running partition
@@ -53,7 +51,7 @@ pub mod transform;
 pub use checkers::{
     check_omega_k, check_partition_sigma, check_sigma_k, OmegaViolation, SigmaViolation,
 };
-pub use history::{History, HistoryObserver, Recorder};
+pub use history::{History, Recorder};
 pub use loneliness::{check_loneliness, LonelinessOracle};
 pub use omega::EventualLeaderOmega;
 pub use partition_fd::{PartitionSigmaOmega, RealisticSigmaOmega};

@@ -51,15 +51,19 @@
 //!   favourable DDS point, where FloodMin lives). Its engine unit is one
 //!   full round.
 //! * **the discrete-event engine** — [`sim::des::DesEngine`] advances a
-//!   virtual clock through a deterministic min-heap of component
-//!   wake-ups: messages carry real delivery times drawn from seeded
+//!   virtual clock through a deterministic min-heap of timed wake-ups
+//!   (of a process, the link fabric, the crash schedule or the detector
+//!   cadence): messages carry real delivery times drawn from seeded
 //!   per-link [`sim::des::Latency`] models, partial synchrony has an
 //!   explicit GST, and crashes strike at timed instants. Sparse
 //!   schedules skip idle time instead of burning steps.
 //!
-//! `Engine` exposes `advance`/`done`/`decisions`/`drive`, so runners
-//! ([`core::runner`]), the experiment harness and the benches drive any
-//! substrate through one API; the bounded explorer ([`sim::explore`])
+//! Each substrate implements one unit body, `Engine::advance_observed`,
+//! generic over its [`sim::observe::Observer`]; `Engine` builds one run
+//! loop on it, `drive_observed`, and the unobserved `advance`/`drive` pass
+//! a `NoObserver`. So runners ([`core::runner`]), the experiment harness
+//! and the benches drive any substrate, observed or not, through one API;
+//! the bounded explorer ([`sim::explore`])
 //! additionally steps `Simulation` configurations in place, and forks the
 //! ones it keeps, for exhaustive search.
 //!

@@ -296,16 +296,15 @@ fn nondeterminism_hits(scanned: &ScannedFile, hits: &mut Vec<(usize, &'static st
 }
 
 fn observer_bypass_hits(scanned: &ScannedFile, hits: &mut Vec<(usize, &'static str, String)>) {
+    // The raw unit bodies of the three substrates: the simulation's steps,
+    // the lock-step round and the discrete-event dispatch loop.
     const DRIVERS: &[&str] = &[
         "step",
         "step_observed",
         "step_routed",
         "step_undoable",
-        "execute_round",
         "execute_round_observed",
-        "tick",
         "dispatch",
-        "dispatch_observed",
     ];
     for &ident in DRIVERS {
         for at in ident_occurrences(&scanned.lexed.masked, ident) {
@@ -446,11 +445,33 @@ mod tests {
 
     #[test]
     fn des_dispatch_entry_points_fire_outside_their_home() {
-        // The discrete-event substrate's drivers are bypass vectors too…
-        for src in [
-            "fn f(e: &mut E) { e.tick(now, &mut acts); }\n",
-            "fn f(e: &mut E) { e.dispatch(); }\n",
-            "fn f(e: &mut E) { e.dispatch_observed(&mut obs); }\n",
+        // Every surviving raw driver — the discrete-event dispatch loop
+        // among them — is a bypass vector outside the substrate homes…
+        for (src, home) in [
+            (
+                "fn f(s: &mut S) { s.step(p, d); }\n",
+                "crates/sim/src/engine.rs",
+            ),
+            (
+                "fn f(s: &mut S) { s.step_observed(p, d, &mut obs); }\n",
+                "crates/sim/src/engine.rs",
+            ),
+            (
+                "fn f(s: &mut S) { s.step_routed(p, d, &mut obs, &mut out); }\n",
+                "crates/sim/src/des/engine.rs",
+            ),
+            (
+                "fn f(s: &mut S) { s.step_undoable(p, d, &mut log); }\n",
+                "crates/sim/src/engine.rs",
+            ),
+            (
+                "fn f(l: &mut L) { l.execute_round_observed(&mut obs); }\n",
+                "crates/core/src/sync.rs",
+            ),
+            (
+                "fn f(e: &mut E) { e.dispatch(&mut obs); }\n",
+                "crates/sim/src/des/engine.rs",
+            ),
         ] {
             assert!(
                 run("crates/sim/src/explore.rs", src)
@@ -458,8 +479,17 @@ mod tests {
                     .any(|d| d.rule == OBSERVER_BYPASS),
                 "{src}"
             );
-            // …and their home file is exempt like the other substrates'.
-            assert!(run("crates/sim/src/des/engine.rs", src).is_empty(), "{src}");
+            // …and exempt in the home that calls it.
+            assert!(run(home, src).is_empty(), "{src}");
+        }
+        // The drivers the substrates no longer have are ordinary names
+        // again, like any other type's `tick`.
+        for src in [
+            "fn f(m: &mut M) { m.tick(); }\n",
+            "fn f(l: &mut L) { l.execute_round(); }\n",
+            "fn f(e: &mut E) { e.dispatch_observed(&mut obs); }\n",
+        ] {
+            assert!(run("crates/sim/src/explore.rs", src).is_empty(), "{src}");
         }
     }
 

@@ -80,13 +80,12 @@ fn observer_bypass_fires_at_expected_lines() {
             (rules::OBSERVER_BYPASS, 4, Status::Violation),
             (rules::OBSERVER_BYPASS, 5, Status::Violation),
             (rules::OBSERVER_BYPASS, 13, Status::Allowed),
-            (rules::OBSERVER_BYPASS, 21, Status::Violation),
             (rules::OBSERVER_BYPASS, 22, Status::Violation),
-            (rules::OBSERVER_BYPASS, 23, Status::Violation),
         ],
-        "expected .step/.step_observed at 4/5, allowed .execute_round at 13, \
-         the DES drivers .tick/.dispatch/.dispatch_observed at 21/22/23, and \
-         nothing from the comment, the string, or the bare `step` ident: {diags:#?}"
+        "expected .step/.step_observed at 4/5, allowed .execute_round_observed at 13, \
+         the DES driver .dispatch at 22 but not the gone .tick/.dispatch_observed \
+         at 21/23, and nothing from the comment, the string, or the bare `step` \
+         ident: {diags:#?}"
     );
 }
 

@@ -7,49 +7,25 @@
 //! body plus the list of messages the step buffered, so the unified event
 //! stream is emitted here and nowhere rebuilt.
 
-use super::component::{Action, Component, CrashSchedule, DetectorCadence, LinkFabric, ProcClock};
-use super::{ComponentId, EventHeap, Latency, VirtualTime};
+use super::component::{CrashSchedule, DetectorCadence, LinkFabric, ProcClock};
+use super::heap::{EventHeap, Wake};
+use super::{Latency, VirtualTime};
 use crate::engine::{Engine, RunReport, Simulation, StopReason};
 use crate::ids::{MsgId, ProcessId, ProcessSet};
-use crate::observe::{CrashEvent, NoObserver, Observer};
+use crate::observe::{CrashEvent, Observer};
 use crate::oracle::Oracle;
 use crate::process::Process;
 use crate::sched::Delivery;
 
-/// The component registry: one clock per process, then the link fabric,
-/// the crash schedule and the optional detector cadence, in
-/// [`ComponentId`] order.
-#[derive(Debug)]
-struct Components {
-    procs: Vec<ProcClock>,
-    fabric: LinkFabric,
-    crashes: CrashSchedule,
-    cadence: Option<DetectorCadence>,
-}
-
-impl Components {
-    fn get_mut(&mut self, cid: ComponentId) -> Option<&mut dyn Component> {
-        let n = self.procs.len();
-        let i = cid.index();
-        Some(match i {
-            _ if i < n => &mut self.procs[i],
-            _ if i == n => &mut self.fabric,
-            _ if i == n + 1 => &mut self.crashes,
-            _ if i == n + 2 => self.cadence.as_mut()?,
-            _ => return None,
-        })
-    }
-}
-
 /// The discrete-event virtual-time substrate: a [`Simulation`] driven by
-/// an [`EventHeap`] of component wake-ups instead of a unit scheduler.
+/// a heap of timed wake-ups instead of a unit scheduler.
 ///
 /// See the [module docs](super) for the architecture. Like
 /// [`SimEngine`](crate::SimEngine) it implements [`Engine`], so
 /// `drive`/`drive_observed` and every runner work unchanged; a *unit* is
-/// one process step (bookkeeping ticks — fabric releases, crash strikes,
-/// cadence pulses — are free, which is exactly the idle-skip advantage on
-/// sparse schedules).
+/// one process step (bookkeeping wake-ups — fabric releases, crash
+/// strikes, cadence pulses — are free, which is exactly the idle-skip
+/// advantage on sparse schedules).
 ///
 /// # Examples
 ///
@@ -90,7 +66,11 @@ where
     latency: Latency,
     gst: u64,
     seed: u64,
-    comps: Components,
+    /// One wake-up agenda per process.
+    clocks: Vec<ProcClock>,
+    fabric: LinkFabric,
+    crashes: CrashSchedule,
+    cadence: Option<DetectorCadence>,
     /// Message ids released by the fabric, awaiting the destination's
     /// next step.
     ready: Vec<Vec<MsgId>>,
@@ -100,8 +80,6 @@ where
     /// the processes [`Engine::done`] does not wait for (as the step
     /// substrate counts plan-scheduled crashes out from the start).
     faulty: ProcessSet,
-    /// One tick's actions, reused across ticks.
-    scratch: Vec<Action>,
     /// The messages one step put in buffers, reused across steps.
     sends: Vec<(ProcessId, MsgId)>,
 }
@@ -126,25 +104,20 @@ where
         let faulty = sim.crash_plan().faulty();
         DesEngine {
             sim,
-            heap: EventHeap::new(),
+            heap: EventHeap::default(),
             now: VirtualTime::ZERO,
             units: 0,
             primed: false,
             latency: latency.normalized(),
             gst,
             seed,
-            comps: Components {
-                procs: (0..n)
-                    .map(|i| ProcClock::new(ComponentId::new(i), ProcessId::new(i)))
-                    .collect(),
-                fabric: LinkFabric::new(ComponentId::new(n)),
-                crashes: CrashSchedule::new(ComponentId::new(n + 1)),
-                cadence: None,
-            },
+            clocks: vec![ProcClock::default(); n],
+            fabric: LinkFabric::default(),
+            crashes: CrashSchedule::default(),
+            cadence: None,
             ready: vec![Vec::new(); n],
             struck: ProcessSet::new(),
             faulty,
-            scratch: Vec::new(),
             sends: Vec::new(),
         }
     }
@@ -154,9 +127,9 @@ where
     /// resolve crash-first. No-op for out-of-range pids.
     pub fn schedule_crash(&mut self, pid: ProcessId, at: VirtualTime) {
         if pid.index() < self.sim.n() {
-            self.comps.crashes.schedule(at, pid);
+            self.crashes.schedule(at, pid);
             self.faulty.insert(pid);
-            self.heap.push(at, self.comps.crashes.id());
+            self.heap.push(at, Wake::Crashes);
         }
     }
 
@@ -172,13 +145,13 @@ where
     /// detector-sampling step even if no message arrived.
     #[must_use]
     pub fn with_detector_cadence(mut self, period: u64) -> Self {
-        let cadence = DetectorCadence::new(ComponentId::new(self.sim.n() + 2), period);
+        let cadence = DetectorCadence::new(period);
         if self.primed {
-            if let Some(at) = cadence.next_tick() {
-                self.heap.push(at, cadence.id());
+            if let Some(at) = cadence.next_wake() {
+                self.heap.push(at, Wake::Cadence);
             }
         }
-        self.comps.cadence = Some(cadence);
+        self.cadence = Some(cadence);
         self
     }
 
@@ -192,8 +165,8 @@ where
         self.sim
     }
 
-    /// The current virtual-clock reading (the time of the last executed
-    /// tick).
+    /// The current virtual-clock reading (the time of the last live
+    /// wake-up).
     pub fn now(&self) -> VirtualTime {
         self.now
     }
@@ -214,98 +187,71 @@ where
         self.report(status.stop)
     }
 
-    /// Seeds the heap before the first tick: crash strikes first (so they
-    /// win same-instant ties), then the cadence, then one wake per alive
-    /// process at `t = 1` in process order — the sequence-number order the
-    /// first wave pops in.
+    /// Seeds the heap before the first wake-up: crash strikes first (so
+    /// they win same-instant ties), then the cadence, then one wake per
+    /// alive process at `t = 1` in process order — the sequence-number
+    /// order the first wave pops in.
     fn prime(&mut self) {
         self.primed = true;
-        if let Some(at) = self.comps.crashes.next_tick() {
-            self.heap.push(at, self.comps.crashes.id());
+        if let Some(at) = self.crashes.next_wake() {
+            self.heap.push(at, Wake::Crashes);
         }
-        if let Some(cadence) = &self.comps.cadence {
-            if let Some(at) = cadence.next_tick() {
-                self.heap.push(at, cadence.id());
-            }
+        if let Some(at) = self.cadence.as_ref().and_then(DetectorCadence::next_wake) {
+            self.heap.push(at, Wake::Cadence);
         }
         let at = VirtualTime::new(1);
-        for (i, clock) in self.comps.procs.iter_mut().enumerate() {
-            if self.sim.is_alive(ProcessId::new(i)) {
+        for (i, clock) in self.clocks.iter_mut().enumerate() {
+            let pid = ProcessId::new(i);
+            if self.sim.is_alive(pid) {
                 clock.wake_at(at);
-                self.heap.push(at, clock.id());
+                self.heap.push(at, Wake::Process(pid));
             }
         }
     }
 
-    /// The unobserved dispatch entry point: pops wake-ups until one
-    /// produces a process step (or the heap drains). Monomorphizes the
-    /// no-op observer away, exactly like the step substrate's unobserved
-    /// path.
-    fn dispatch(&mut self) -> bool {
-        self.dispatch_with(&mut NoObserver)
+    /// The next instant the part that `wake` names wants to be woken at.
+    fn next_wake(&self, wake: Wake) -> Option<VirtualTime> {
+        match wake {
+            Wake::Process(pid) => self.clocks[pid.index()].next_wake(),
+            Wake::Fabric => self.fabric.next_wake(),
+            Wake::Crashes => self.crashes.next_wake(),
+            Wake::Cadence => self.cadence.as_ref().and_then(DetectorCadence::next_wake),
+        }
     }
 
-    /// The observed dispatch entry point: as [`DesEngine::dispatch`],
-    /// reporting every event of the executed step to `obs`.
-    fn dispatch_observed(&mut self, obs: &mut dyn Observer<P::Output>) -> bool {
-        self.dispatch_with(obs)
+    /// Pushes the part's own next wake-up, if it has one. Wake-ups caused
+    /// by another part push their own entries at cause time.
+    fn requeue(&mut self, wake: Wake) {
+        if let Some(at) = self.next_wake(wake) {
+            self.heap.push(at, wake);
+        }
     }
 
-    /// Pops heap entries until one tick yields a process step. Stale
-    /// entries (popped time ≠ the component's `next_tick`) are lazily
-    /// skipped; bookkeeping ticks (fabric releases, crash strikes,
-    /// cadence pulses) are processed inline without counting as units.
-    /// Returns `false` when the heap drains — the substrate is out of
-    /// moves.
-    fn dispatch_with<Ob>(&mut self, obs: &mut Ob) -> bool
+    /// Pops heap entries until one yields a process step; returns `false`
+    /// when the heap drains — the substrate is out of moves.
+    ///
+    /// An entry whose time is no longer its part's next wake-up is stale
+    /// and skipped (lazy deletion). A live entry sets the clock, takes
+    /// what is due from its part, requeues the part's next wake-up, and
+    /// then acts on it: a process steps (the only wake-up that counts as
+    /// a unit), the fabric releases its arrivals, the crash schedule
+    /// strikes, the cadence pulses.
+    fn dispatch<Ob>(&mut self, obs: &mut Ob) -> bool
     where
         Ob: Observer<P::Output> + ?Sized,
     {
         if !self.primed {
             self.prime();
         }
-        loop {
-            let Some((now, _seq, cid)) = self.heap.pop() else {
-                return false;
-            };
-            let mut actions = std::mem::take(&mut self.scratch);
-            actions.clear();
-            let ticked = match self.comps.get_mut(cid) {
-                Some(comp) if comp.next_tick() == Some(now) => {
-                    comp.tick(now, &mut actions);
-                    // Requeue the component's own next wake; external
-                    // wakes push their own entries at cause time.
-                    if let Some(next) = comp.next_tick() {
-                        self.heap.push(next, cid);
-                    }
-                    true
-                }
-                // Stale or unknown entry: lazy deletion.
-                _ => false,
-            };
-            let stepped = if ticked {
-                self.now = now;
-                self.apply(now, &mut actions, obs)
-            } else {
-                false
-            };
-            self.scratch = actions;
-            if stepped {
-                return true;
+        while let Some((now, _seq, wake)) = self.heap.pop() {
+            if self.next_wake(wake) != Some(now) {
+                continue;
             }
-        }
-    }
-
-    /// Applies one tick's actions; returns whether a process step was
-    /// executed.
-    fn apply<Ob>(&mut self, now: VirtualTime, actions: &mut Vec<Action>, obs: &mut Ob) -> bool
-    where
-        Ob: Observer<P::Output> + ?Sized,
-    {
-        let mut stepped = false;
-        for action in actions.drain(..) {
-            match action {
-                Action::StepProcess(pid) => {
+            self.now = now;
+            match wake {
+                Wake::Process(pid) => {
+                    self.clocks[pid.index()].take_due(now);
+                    self.requeue(wake);
                     if self.struck.contains(pid) || !self.sim.is_alive(pid) {
                         continue;
                     }
@@ -319,44 +265,55 @@ where
                     {
                         continue;
                     }
-                    stepped = true;
                     // The adversary parks pre-GST messages until
                     // stabilization, then the link draws its delay.
                     let depart = VirtualTime::new(now.raw().max(self.gst));
                     for &(dst, id) in &self.sends {
                         let at = depart.plus(self.latency.draw(self.seed, pid, dst, id.raw()));
-                        if self.comps.fabric.route(at, dst, id) {
-                            self.heap.push(at, self.comps.fabric.id());
+                        if self.fabric.route(at, dst, id) {
+                            self.heap.push(at, Wake::Fabric);
+                        }
+                    }
+                    return true;
+                }
+                Wake::Fabric => {
+                    let arrivals = self.fabric.release();
+                    self.requeue(wake);
+                    for (dst, id) in arrivals {
+                        // A message reaching a crashed process vanishes.
+                        if self.struck.contains(dst) || !self.sim.is_alive(dst) {
+                            continue;
+                        }
+                        self.ready[dst.index()].push(id);
+                        if self.clocks[dst.index()].wake_at(now) {
+                            self.heap.push(now, Wake::Process(dst));
                         }
                     }
                 }
-                Action::Deliver { dst, id } => {
-                    // A message reaching a crashed process vanishes.
-                    if self.struck.contains(dst) || !self.sim.is_alive(dst) {
-                        continue;
-                    }
-                    self.ready[dst.index()].push(id);
-                    let clock = &mut self.comps.procs[dst.index()];
-                    if clock.wake_at(now) {
-                        self.heap.push(now, clock.id());
+                Wake::Crashes => {
+                    let due = self.crashes.strike(now);
+                    self.requeue(wake);
+                    for pid in due {
+                        if self.struck.contains(pid) || !self.sim.is_alive(pid) {
+                            continue;
+                        }
+                        self.struck.insert(pid);
+                        self.ready[pid.index()].clear();
+                        self.clocks[pid.index()].retire();
+                        obs.on_crash(&CrashEvent {
+                            pid,
+                            time: self.sim.time(),
+                            after_step: true,
+                        });
                     }
                 }
-                Action::Crash(pid) => {
-                    if self.struck.contains(pid) || !self.sim.is_alive(pid) {
-                        continue;
+                Wake::Cadence => {
+                    if let Some(cadence) = self.cadence.as_mut() {
+                        cadence.pulse(now);
                     }
-                    self.struck.insert(pid);
-                    self.ready[pid.index()].clear();
-                    self.comps.procs[pid.index()].retire();
-                    obs.on_crash(&CrashEvent {
-                        pid,
-                        time: self.sim.time(),
-                        after_step: true,
-                    });
-                }
-                Action::Pulse => {
+                    self.requeue(wake);
                     let mut woke = false;
-                    for (i, clock) in self.comps.procs.iter_mut().enumerate() {
+                    for (i, clock) in self.clocks.iter_mut().enumerate() {
                         let pid = ProcessId::new(i);
                         if self.struck.contains(pid)
                             || !self.sim.is_alive(pid)
@@ -365,7 +322,7 @@ where
                             continue;
                         }
                         if clock.wake_at(now) {
-                            self.heap.push(now, clock.id());
+                            self.heap.push(now, Wake::Process(pid));
                         }
                         woke = true;
                     }
@@ -373,14 +330,14 @@ where
                         // Nobody left to sample: let the heap drain. The
                         // alive-undecided set only shrinks, so this is
                         // final.
-                        if let Some(cadence) = self.comps.cadence.as_mut() {
+                        if let Some(cadence) = self.cadence.as_mut() {
                             cadence.retire();
                         }
                     }
                 }
             }
         }
-        stepped
+        false
     }
 }
 
@@ -396,27 +353,21 @@ where
         self.sim.n()
     }
 
-    fn advance(&mut self) -> bool {
-        let progressed = self.dispatch();
+    fn advance_observed<Ob>(&mut self, obs: &mut Ob) -> bool
+    where
+        Ob: Observer<P::Output> + ?Sized,
+    {
+        let progressed = self.dispatch(obs);
         if progressed {
             self.units += 1;
         }
         progressed
     }
 
-    fn advance_observed(&mut self, obs: &mut dyn Observer<P::Output>) -> bool {
-        let progressed = if obs.observes_events() {
-            self.dispatch_observed(obs)
-        } else {
-            self.dispatch()
-        };
-        if progressed {
-            self.units += 1;
-        }
-        progressed
-    }
-
-    fn announce_initial(&self, obs: &mut dyn Observer<P::Output>) {
+    fn announce_initial<Ob>(&self, obs: &mut Ob)
+    where
+        Ob: Observer<P::Output> + ?Sized,
+    {
         self.sim.announce_initial(obs);
     }
 

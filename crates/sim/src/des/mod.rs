@@ -11,16 +11,19 @@
 //! # Architecture
 //!
 //! * A **virtual clock** ([`VirtualTime`]) advanced by a deterministic
-//!   min-heap of `(VirtualTime, seq, ComponentId)` wake-ups
-//!   ([`EventHeap`]). The monotonic `seq` tie-break makes heap order
-//!   *total*: two events at the same instant pop in insertion order, so a
-//!   run is a pure function of its seeds regardless of heap internals.
-//! * **Components** ([`Component`]): processes ([`ProcClock`]), the link
-//!   fabric carrying in-flight messages ([`LinkFabric`]), the timed crash
-//!   schedule ([`CrashSchedule`]) and the failure-detector cadence
-//!   ([`DetectorCadence`]) all answer `next_tick`/`tick`. A tick emits
-//!   [`Action`]s; the engine applies them, which is what keeps component
-//!   state and engine state cleanly separated.
+//!   min-heap of `(VirtualTime, seq, wake)` entries. The monotonic `seq`
+//!   tie-break makes heap order *total*: two entries at the same instant
+//!   pop in insertion order, so a run is a pure function of its seeds
+//!   regardless of heap internals.
+//! * Each entry's **wake kind** names one of the engine's four parts: a
+//!   process's clock (its agenda of wake-up instants), the link fabric
+//!   carrying in-flight messages, the timed crash schedule, or the
+//!   failure-detector cadence. The engine's one dispatch loop matches the
+//!   kind, takes what is due from that part, requeues the part's next
+//!   wake-up, and acts on it directly: a process steps, the fabric makes
+//!   its arrivals deliverable and wakes their destinations, the schedule
+//!   strikes, the cadence wakes every alive undecided process. An entry
+//!   whose part has moved its next wake-up is stale and skipped.
 //! * **Latency models** ([`Latency`]): each message's delivery time is
 //!   `max(send, gst) + draw`, where `draw` is a seeded, per-link,
 //!   per-message SplitMix64 draw from `lo..=hi` — real delivery times, not
@@ -54,9 +57,7 @@ mod engine;
 mod heap;
 mod latency;
 
-pub use component::{Action, Component, CrashSchedule, DetectorCadence, LinkFabric, ProcClock};
 pub use engine::DesEngine;
-pub use heap::EventHeap;
 pub use latency::Latency;
 
 /// A point on the discrete-event virtual clock.
@@ -99,29 +100,6 @@ impl std::fmt::Display for VirtualTime {
     }
 }
 
-/// Identifies one [`Component`] in a [`DesEngine`]'s registry — the third
-/// element of every heap entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct ComponentId(usize);
-
-impl ComponentId {
-    /// Wraps a registry index.
-    pub const fn new(index: usize) -> Self {
-        ComponentId(index)
-    }
-
-    /// The registry index.
-    pub const fn index(self) -> usize {
-        self.0
-    }
-}
-
-impl std::fmt::Display for ComponentId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "c{}", self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,6 +114,5 @@ mod tests {
             VirtualTime::new(u64::MAX)
         );
         assert_eq!(VirtualTime::new(5).to_string(), "t5");
-        assert_eq!(ComponentId::new(2).to_string(), "c2");
     }
 }

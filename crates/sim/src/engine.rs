@@ -1,10 +1,11 @@
 //! The simulation engine: executes runs of an algorithm under a scheduler.
 //!
-//! Two execution substrates live in the workspace — this step-level
-//! simulator and `kset-core`'s lock-step round executor. Both implement the
-//! [`Engine`] trait (this simulator through [`SimEngine`], which pairs a
-//! [`Simulation`] with a scheduler), so runners, experiment harnesses and
-//! benches can drive either substrate through one API.
+//! Three execution substrates live in the workspace — this step-level
+//! simulator, the discrete-event engine of [`crate::des`] and `kset-core`'s
+//! lock-step round executor. All implement the [`Engine`] trait (this
+//! simulator through [`SimEngine`], which pairs a [`Simulation`] with a
+//! scheduler), so runners, experiment harnesses and benches can drive any
+//! substrate through one API.
 //!
 //! [`Simulation`] holds the full configuration of the paper's model
 //! (Section II): the vector of local states and the per-process message
@@ -116,12 +117,6 @@ impl<V: Clone + Ord> RunReport<V> {
             .correct()
             .iter()
             .all(|p| self.decisions[p.index()].is_some())
-    }
-
-    /// Number of distinct decision values in the run — at most `k` iff the
-    /// run satisfies k-Agreement.
-    pub fn num_distinct_decisions(&self) -> usize {
-        self.distinct_decisions.len()
     }
 }
 
@@ -656,26 +651,6 @@ where
         engine.drive(max_steps)
     }
 
-    /// As [`Simulation::run`], reporting every run event to `obs` — the
-    /// borrowed-scheduler form of
-    /// [`Engine::drive_observed`].
-    pub fn run_observed<S>(
-        &mut self,
-        scheduler: &mut S,
-        max_steps: u64,
-        obs: &mut dyn Observer<P::Output>,
-    ) -> RunStatus
-    where
-        S: Scheduler<P::Msg> + ?Sized,
-    {
-        let mut engine = BorrowedSimEngine {
-            sim: self,
-            sched: scheduler,
-            units: 0,
-        };
-        engine.drive_observed(max_steps, obs)
-    }
-
     /// Replays to `obs` the crash events that predate any drive: the
     /// initially-dead processes, recorded at construction time. Called by
     /// [`Engine::drive_observed`] so a late-attached observer still sees
@@ -992,14 +967,20 @@ where
 /// One execution substrate: something that advances a distributed
 /// computation unit by unit and reports decisions.
 ///
-/// The workspace has two substrates — the step-level [`Simulation`] (driven
-/// through [`SimEngine`], which pairs it with a scheduler) and the lock-step
-/// round executor of `kset-core::sync` (its `LockStep` newtype). Runners,
-/// the experiment harness and the benches are written against this trait so
-/// either substrate plugs in.
+/// The workspace has three substrates — the step-level [`Simulation`]
+/// (driven through [`SimEngine`], which pairs it with a scheduler), the
+/// lock-step round executor of `kset-core::sync` (its `LockStep` newtype)
+/// and the discrete-event [`DesEngine`](crate::des::DesEngine). Runners,
+/// the experiment harness and the benches are written against this trait
+/// so any substrate plugs in.
 ///
 /// A *unit* is the substrate's natural quantum: one process step for the
-/// simulator, one full round for the lock-step executor.
+/// simulator and the discrete-event engine, one full round for the
+/// lock-step executor. Each substrate has one unit body,
+/// [`Engine::advance_observed`], and the trait one run loop,
+/// [`Engine::drive_observed`]; the unobserved [`Engine::advance`] and
+/// [`Engine::drive`] pass them a [`NoObserver`], whose no-op callbacks
+/// compile away.
 pub trait Engine {
     /// The decision value type.
     type Output: Clone + Ord;
@@ -1007,19 +988,18 @@ pub trait Engine {
     /// System size `n`.
     fn n(&self) -> usize;
 
-    /// Executes one unit of work. Returns `false` when the substrate has no
-    /// further moves (scheduler exhausted / all rounds executed).
-    fn advance(&mut self) -> bool;
-
     /// Executes one unit of work, reporting its typed run events to `obs`
     /// (see [`crate::observe`] for the per-substrate emission contract).
-    ///
-    /// The default ignores the observer — a substrate that has not grown
-    /// observation support still drives correctly, it just emits nothing.
-    /// Both workspace substrates override this.
-    fn advance_observed(&mut self, obs: &mut dyn Observer<Self::Output>) -> bool {
-        let _ = obs;
-        self.advance()
+    /// Returns `false` when the substrate has no further moves (scheduler
+    /// exhausted / all rounds executed / event heap drained).
+    fn advance_observed<Ob>(&mut self, obs: &mut Ob) -> bool
+    where
+        Ob: Observer<Self::Output> + ?Sized;
+
+    /// Executes one unit of work unobserved: [`Engine::advance_observed`]
+    /// with a [`NoObserver`].
+    fn advance(&mut self) -> bool {
+        self.advance_observed(&mut NoObserver)
     }
 
     /// Reports to `obs` the events that predate any drive (e.g. the
@@ -1027,7 +1007,10 @@ pub trait Engine {
     /// Called once by [`Engine::drive_observed`] before the first unit, so
     /// an observer attached late still sees the full failure pattern. The
     /// default announces nothing.
-    fn announce_initial(&self, obs: &mut dyn Observer<Self::Output>) {
+    fn announce_initial<Ob>(&self, obs: &mut Ob)
+    where
+        Ob: Observer<Self::Output> + ?Sized,
+    {
         let _ = obs;
     }
 
@@ -1050,54 +1033,27 @@ pub trait Engine {
     }
 
     /// Drives the engine until [`Engine::done`], the substrate runs out of
-    /// moves, or `max_units` further units were executed.
-    ///
-    /// Deliberately *not* routed through [`Engine::drive_observed`] with a
-    /// [`NoObserver`]: the unobserved loop calls [`Engine::advance`]
-    /// directly, so substrates whose internal step is generic over the
-    /// observer (the simulator's `step_observed`) monomorphize the no-op
-    /// observer away instead of paying a virtual call per event. The
-    /// `e7_observe` bench group pins the two paths at parity.
+    /// moves, or `max_units` further units were executed:
+    /// [`Engine::drive_observed`] with a [`NoObserver`].
     fn drive(&mut self, max_units: u64) -> RunStatus {
-        let mut steps = 0;
-        loop {
-            if self.done() {
-                return RunStatus {
-                    steps,
-                    stop: StopReason::AllCorrectDecided,
-                };
-            }
-            if steps >= max_units {
-                return RunStatus {
-                    steps,
-                    stop: StopReason::StepLimit,
-                };
-            }
-            if !self.advance() {
-                return RunStatus {
-                    steps,
-                    stop: StopReason::SchedulerDone,
-                };
-            }
-            steps += 1;
-        }
+        self.drive_observed(max_units, &mut NoObserver)
     }
 
-    /// Drives the engine exactly as [`Engine::drive`] does, reporting
-    /// every run event to `obs`: first [`Engine::announce_initial`], then
-    /// the per-unit events of [`Engine::advance_observed`], and finally
-    /// one [`Observer::on_halt`] carrying the drive's status — emitted on
+    /// Drives the engine until [`Engine::done`], the substrate runs out of
+    /// moves, or `max_units` further units were executed, reporting every
+    /// run event to `obs`: first [`Engine::announce_initial`], then the
+    /// per-unit events of [`Engine::advance_observed`], and finally one
+    /// [`Observer::on_halt`] carrying the drive's status — emitted on
     /// every exit path, so an observer can always bracket a run.
     ///
     /// This is the uniform observation entry point: the same call drives
-    /// the step-level simulator and the round-level lock-step executor,
-    /// which is what lets runners, the differential harness and the sweep
-    /// workers thread one observer through either substrate.
-    fn drive_observed(
-        &mut self,
-        max_units: u64,
-        obs: &mut dyn Observer<Self::Output>,
-    ) -> RunStatus {
+    /// every substrate, which is what lets runners, the differential
+    /// harness and the sweep workers thread one observer through any of
+    /// them.
+    fn drive_observed<Ob>(&mut self, max_units: u64, obs: &mut Ob) -> RunStatus
+    where
+        Ob: Observer<Self::Output> + ?Sized,
+    {
         self.announce_initial(obs);
         let mut steps = 0;
         let status = loop {
@@ -1130,8 +1086,8 @@ pub trait Engine {
 }
 
 /// Transient [`Engine`] over a *borrowed* simulation and scheduler — the
-/// engine form of [`Simulation::run`], so the termination policy of
-/// [`Engine::drive`] is the only run loop in the crate.
+/// engine form of [`Simulation::run`], so [`Engine::drive_observed`] is
+/// the only run loop in the crate.
 struct BorrowedSimEngine<'a, P, O, S>
 where
     P: Process,
@@ -1156,27 +1112,21 @@ where
         self.sim.n()
     }
 
-    fn advance(&mut self) -> bool {
-        let progressed = self.sim.step_once(self.sched, &mut NoObserver);
+    fn advance_observed<Ob>(&mut self, obs: &mut Ob) -> bool
+    where
+        Ob: Observer<P::Output> + ?Sized,
+    {
+        let progressed = self.sim.step_once(self.sched, obs);
         if progressed {
             self.units += 1;
         }
         progressed
     }
 
-    fn advance_observed(&mut self, obs: &mut dyn Observer<P::Output>) -> bool {
-        let progressed = if obs.observes_events() {
-            self.sim.step_once(self.sched, obs)
-        } else {
-            self.sim.step_once(self.sched, &mut NoObserver)
-        };
-        if progressed {
-            self.units += 1;
-        }
-        progressed
-    }
-
-    fn announce_initial(&self, obs: &mut dyn Observer<P::Output>) {
+    fn announce_initial<Ob>(&self, obs: &mut Ob)
+    where
+        Ob: Observer<P::Output> + ?Sized,
+    {
         self.sim.announce_initial(obs);
     }
 
@@ -1284,27 +1234,21 @@ where
         self.sim.n()
     }
 
-    fn advance(&mut self) -> bool {
-        let progressed = self.sim.step_once(&mut self.sched, &mut NoObserver);
+    fn advance_observed<Ob>(&mut self, obs: &mut Ob) -> bool
+    where
+        Ob: Observer<P::Output> + ?Sized,
+    {
+        let progressed = self.sim.step_once(&mut self.sched, obs);
         if progressed {
             self.units += 1;
         }
         progressed
     }
 
-    fn advance_observed(&mut self, obs: &mut dyn Observer<P::Output>) -> bool {
-        let progressed = if obs.observes_events() {
-            self.sim.step_once(&mut self.sched, obs)
-        } else {
-            self.sim.step_once(&mut self.sched, &mut NoObserver)
-        };
-        if progressed {
-            self.units += 1;
-        }
-        progressed
-    }
-
-    fn announce_initial(&self, obs: &mut dyn Observer<P::Output>) {
+    fn announce_initial<Ob>(&self, obs: &mut Ob)
+    where
+        Ob: Observer<P::Output> + ?Sized,
+    {
         self.sim.announce_initial(obs);
     }
 

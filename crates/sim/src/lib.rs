@@ -132,4 +132,4 @@ pub use scenario::{
     DetectorChoice, Scenario, ScenarioCrash, ScenarioError, ScenarioParseError, ScenarioProcess,
     ScenarioScheduler, ScheduleFamily,
 };
-pub use trace::{MessageStats, ProcessView, ScheduleEntry, StepObservation, Trace, TraceRecorder};
+pub use trace::{ProcessView, ScheduleEntry, StepObservation, Trace, TraceRecorder};

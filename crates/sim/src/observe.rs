@@ -1,13 +1,18 @@
-//! Run observation: typed events emitted by both execution substrates.
+//! Run observation: typed events emitted by every execution substrate.
 //!
 //! The paper's arguments are about *what runs look like* — which messages
 //! were delivered where, who crashed mid-round, which decision patterns
 //! appear. This module makes that observable through one API: an
-//! [`Observer`] receives typed run events from **either** substrate — the
+//! [`Observer`] receives typed run events from **any** substrate — the
 //! step-level simulator ([`SimEngine`](crate::SimEngine) /
-//! [`Simulation`](crate::Simulation)) and the round-level lock-step
-//! executor of `kset-core` — threaded uniformly through
-//! [`Engine::drive_observed`](crate::Engine::drive_observed).
+//! [`Simulation`](crate::Simulation)), the discrete-event engine
+//! ([`DesEngine`](crate::des::DesEngine), whose steps run the simulator's
+//! step body) and the round-level lock-step executor of `kset-core` —
+//! threaded uniformly through
+//! [`Engine::drive_observed`](crate::Engine::drive_observed). Each
+//! substrate has one unit body, generic over its observer, so
+//! [`Engine::drive`](crate::Engine::drive) is that body run with a
+//! [`NoObserver`] whose callbacks compile away.
 //!
 //! The simulator's own trace recording is itself just one observer:
 //! [`TraceRecorder`](crate::trace::TraceRecorder) assembles the exact
@@ -18,15 +23,17 @@
 //!
 //! Within one unit of execution the substrates emit, in order:
 //!
-//! * **step substrate** (one process step): [`Observer::on_deliver`] per
-//!   consumed envelope, [`Observer::on_fd_sample`] once,
-//!   [`Observer::on_decide`] if the step made a (first) decision,
-//!   [`Observer::on_send`] per emitted message (dropped ones included),
-//!   [`Observer::on_step`] closing the step, then [`Observer::on_crash`]
-//!   when the step was the process's final one. Initially-dead crashes
-//!   predate any drive;
-//!   [`Engine::drive_observed`](crate::Engine::drive_observed) replays them to the
-//!   observer up front (`after_step == false`).
+//! * **step substrate** (one process step, on the discrete-event engine
+//!   too): [`Observer::on_deliver`] per consumed envelope,
+//!   [`Observer::on_fd_sample`] once, [`Observer::on_decide`] if the step
+//!   made a (first) decision, [`Observer::on_send`] per emitted message
+//!   (dropped ones included), [`Observer::on_step`] closing the step, then
+//!   [`Observer::on_crash`] when the step was the process's final one.
+//!   Initially-dead crashes predate any drive;
+//!   [`Engine::drive_observed`](crate::Engine::drive_observed) replays
+//!   them to the observer up front (`after_step == false`). A
+//!   discrete-event timed crash strikes between steps: one
+//!   [`Observer::on_crash`] with `after_step == true`.
 //! * **round substrate** (one lock-step round): one
 //!   [`Observer::on_broadcast`] for the alive senders whose round message
 //!   reached everyone, when there are any, then per mid-round crasher, in
@@ -37,7 +44,7 @@
 //!   the senders they heard, followed by [`Observer::on_decide`] for each
 //!   receiver of the class, ascending, whose receive first produced a
 //!   decision; and finally [`Observer::on_round`] closing the round.
-//! * Both substrates: [`Observer::on_halt`] exactly once, when
+//! * Every substrate: [`Observer::on_halt`] exactly once, when
 //!   [`Engine::drive_observed`](crate::Engine::drive_observed) stops.
 //!
 //! The two round events are grouped forms of the per-pair stream, and
@@ -251,7 +258,7 @@ pub struct HaltEvent {
     pub units: u64,
 }
 
-/// A receiver of typed run events, attachable to **either** execution
+/// A receiver of typed run events, attachable to **any** execution
 /// substrate through [`Engine::drive_observed`](crate::Engine::drive_observed).
 ///
 /// Every method defaults to a no-op, except the round substrate's bulk
@@ -264,14 +271,14 @@ pub struct HaltEvent {
 pub trait Observer<V> {
     /// Whether this observer consumes per-event callbacks.
     ///
-    /// Engines use `false` to route an observed drive through their
-    /// statically-dispatched unobserved path — skipping event
-    /// construction and dispatch entirely, which is what keeps
-    /// `drive_observed(…, &mut NoObserver)` at parity with plain
-    /// [`drive`](crate::Engine::drive) (one virtual check per unit
-    /// instead of one per event). [`Observer::on_halt`] and the
-    /// initial-crash announcements are delivered either way. Defaults to
-    /// `true`; only [`NoObserver`] answers `false`.
+    /// The step body of the step and discrete-event substrates builds a
+    /// step's events — the state and payload fingerprints among them —
+    /// only when its trace recorder or an observer answering `true`
+    /// consumes them, so an unobserved, untraced step (the exhaustive
+    /// explorer's) hashes nothing and makes no step callbacks. The round
+    /// body and the discrete-event crash strikes make their callbacks
+    /// either way. Defaults to `true`; only [`NoObserver`] answers
+    /// `false`.
     fn observes_events(&self) -> bool {
         true
     }
@@ -357,8 +364,9 @@ pub trait Observer<V> {
 ///
 /// [`Engine::drive`](crate::Engine::drive) is exactly
 /// [`Engine::drive_observed`](crate::Engine::drive_observed) with a
-/// `NoObserver` on the statically-dispatched path, so observation support
-/// costs unobserved runs nothing (the `e7_observe` bench group pins this).
+/// `NoObserver`, and each substrate's unit body is generic over its
+/// observer, so the no-op callbacks compile away and observation support
+/// costs unobserved runs nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NoObserver;
 

@@ -404,15 +404,6 @@ impl Scenario {
         self
     }
 
-    /// Overrides the scheduled round count (and rescales the step budget).
-    /// Returns `self` for chaining.
-    #[must_use]
-    pub fn with_rounds(mut self, rounds: usize) -> Self {
-        self.rounds = rounds;
-        self.max_units = Self::default_max_units(self.n, rounds);
-        self
-    }
-
     /// Overrides the step budget of the compiled engine. Returns `self`
     /// for chaining.
     #[must_use]

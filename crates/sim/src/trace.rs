@@ -174,26 +174,6 @@ impl<V: Clone> Trace<V> {
             .map(|s| s.time)
     }
 
-    /// The latest decision time over `pids`, or `None` if some process in
-    /// `pids` has neither decided nor crashed. This is the `t_dec` of
-    /// Lemma 11 (time when the last process in `D̄` has crashed or decided).
-    pub fn all_decided_or_crashed_by(
-        &self,
-        pids: impl IntoIterator<Item = ProcessId>,
-    ) -> Option<Time> {
-        let fp = self.failure_pattern();
-        let mut latest = Time::ZERO;
-        for pid in pids {
-            let t = match (self.decision_time(pid), fp.crash_time(pid)) {
-                (Some(td), _) => td,
-                (None, Some(tc)) => tc,
-                (None, None) => return None,
-            };
-            latest = latest.max(t);
-        }
-        Some(latest)
-    }
-
     /// Per-process view: the sequence of this process's step observations,
     /// used for the indistinguishability check of Definition 2.
     pub fn process_view(&self, pid: ProcessId) -> ProcessView {
@@ -248,66 +228,6 @@ impl<V: Clone> Trace<V> {
                 }
             })
             .collect()
-    }
-
-    /// Message statistics of the run prefix: total sends (including
-    /// dropped ones — omission-ruled or out-of-range), dropped sends, and
-    /// deliveries. The send count is the *message complexity* figure
-    /// reported by experiment E7.
-    pub fn message_stats(&self) -> MessageStats {
-        let mut stats = MessageStats::default();
-        for step in self.steps() {
-            for s in &step.sent {
-                stats.sent += 1;
-                if s.dropped {
-                    stats.dropped += 1;
-                }
-            }
-            stats.delivered += step.delivered.len() as u64;
-        }
-        stats
-    }
-
-    /// The number of messages sent (not dropped) to each process that were
-    /// never delivered within this prefix.
-    pub fn undelivered_counts(&self) -> Vec<usize> {
-        let mut sent = vec![0usize; self.n];
-        let mut delivered = vec![0usize; self.n];
-        for step in self.steps() {
-            for s in &step.sent {
-                if !s.dropped {
-                    sent[s.dst.index()] += 1;
-                }
-            }
-            delivered[step.pid.index()] += step.delivered.len();
-        }
-        sent.iter()
-            .zip(&delivered)
-            .map(|(s, d)| s.saturating_sub(*d))
-            .collect()
-    }
-}
-
-/// Message statistics of a run prefix (see [`Trace::message_stats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MessageStats {
-    /// Messages emitted by steps (including dropped ones).
-    pub sent: u64,
-    /// Sends dropped by final-step omission rules.
-    pub dropped: u64,
-    /// Messages consumed by steps.
-    pub delivered: u64,
-}
-
-impl MessageStats {
-    /// Messages actually placed into buffers.
-    pub fn transmitted(&self) -> u64 {
-        self.sent - self.dropped
-    }
-
-    /// Messages still pending at the end of the prefix.
-    pub fn pending(&self) -> u64 {
-        self.transmitted().saturating_sub(self.delivered)
     }
 }
 
@@ -527,26 +447,6 @@ mod tests {
     }
 
     #[test]
-    fn all_decided_or_crashed_requires_every_pid() {
-        let mut t = Trace::new(2);
-        t.push(step(1, 0, 1, Some(1), 1));
-        assert_eq!(
-            t.all_decided_or_crashed_by(ProcessId::all(2)),
-            None,
-            "p2 neither decided nor crashed"
-        );
-        t.push(TraceEvent::Crash {
-            pid: ProcessId::new(1),
-            time: Time::new(2),
-            after_step: true,
-        });
-        assert_eq!(
-            t.all_decided_or_crashed_by(ProcessId::all(2)),
-            Some(Time::new(2))
-        );
-    }
-
-    #[test]
     fn process_view_cuts_at_decision() {
         let mut t = Trace::new(1);
         t.push(step(1, 0, 1, None, 10));
@@ -603,88 +503,6 @@ mod tests {
         assert_eq!(
             sched[0].per_source,
             vec![(ProcessId::new(1), 2), (ProcessId::new(2), 1)]
-        );
-    }
-
-    #[test]
-    fn message_stats_accounting() {
-        let mut t: Trace<u32> = Trace::new(2);
-        t.push(TraceEvent::Step(StepRecord {
-            time: Time::new(1),
-            pid: ProcessId::new(0),
-            local_step: 1,
-            delivered: vec![],
-            fd_fp: None,
-            state_fp: 0,
-            decided: None,
-            sent: vec![
-                SendRecord {
-                    id: MsgId::new(0),
-                    dst: ProcessId::new(1),
-                    payload_fp: 1,
-                    dropped: false,
-                },
-                SendRecord {
-                    id: MsgId::new(1),
-                    dst: ProcessId::new(1),
-                    payload_fp: 1,
-                    dropped: true,
-                },
-            ],
-        }));
-        t.push(TraceEvent::Step(StepRecord {
-            time: Time::new(2),
-            pid: ProcessId::new(1),
-            local_step: 1,
-            delivered: vec![DeliveredRecord {
-                id: MsgId::new(0),
-                src: ProcessId::new(0),
-                payload_fp: 1,
-            }],
-            fd_fp: None,
-            state_fp: 0,
-            decided: None,
-            sent: vec![],
-        }));
-        let stats = t.message_stats();
-        assert_eq!(stats.sent, 2);
-        assert_eq!(stats.dropped, 1);
-        assert_eq!(stats.delivered, 1);
-        assert_eq!(stats.transmitted(), 1);
-        assert_eq!(stats.pending(), 0);
-    }
-
-    #[test]
-    fn undelivered_counts_sent_minus_delivered() {
-        let mut t: Trace<u32> = Trace::new(2);
-        t.push(TraceEvent::Step(StepRecord {
-            time: Time::new(1),
-            pid: ProcessId::new(0),
-            local_step: 1,
-            delivered: vec![],
-            fd_fp: None,
-            state_fp: 0,
-            decided: None,
-            sent: vec![
-                SendRecord {
-                    id: MsgId::new(0),
-                    dst: ProcessId::new(1),
-                    payload_fp: 1,
-                    dropped: false,
-                },
-                SendRecord {
-                    id: MsgId::new(1),
-                    dst: ProcessId::new(1),
-                    payload_fp: 1,
-                    dropped: true,
-                },
-            ],
-        }));
-        let counts = t.undelivered_counts();
-        assert_eq!(
-            counts,
-            vec![0, 1],
-            "dropped sends do not count as undelivered"
         );
     }
 }
