@@ -14,7 +14,6 @@
 use std::collections::BTreeSet;
 
 use crate::digraph::Digraph;
-use crate::source::source_components;
 
 /// Whether `set` is fully connected in `g` (every ordered pair an edge).
 pub fn is_clique(g: &Digraph, set: &BTreeSet<usize>) -> bool {
@@ -35,12 +34,13 @@ pub fn has_no_incoming(g: &Digraph, set: &BTreeSet<usize>) -> bool {
 /// threshold `L > n/2` (the consensus case) there is exactly one; with
 /// general `L = n − f` there are at most `⌊n/L⌋`.
 pub fn initial_cliques(g: &Digraph) -> Vec<Vec<usize>> {
-    source_components(g)
-        .into_iter()
+    g.sources()
+        .iter()
         .filter(|c| {
             let set: BTreeSet<usize> = c.iter().copied().collect();
             is_clique(g, &set) && has_no_incoming(g, &set)
         })
+        .cloned()
         .collect()
 }
 

@@ -29,6 +29,7 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A finite directed simple graph with vertices `0..n`.
 ///
@@ -36,7 +37,18 @@ use std::fmt;
 /// lemmas are stated for *simple* digraphs. (A process does "hear from
 /// itself" in the protocol, but the graph of Section VI counts only remote
 /// first-stage messages, so self-loops never arise.)
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// A graph keeps its source components once a query has found them. The
+/// first call of a source-component reader ([`source_components`],
+/// [`check_lemma6`] and the others) runs one [`tarjan_scc`] and keeps what
+/// it reads off; later calls read that. [`Digraph::add_edge`], the only
+/// mutator, drops it. A clone carries it, [`Digraph::reversed`] starts
+/// without one, and equality and `Debug` look only at the edges.
+///
+/// [`source_components`]: crate::source_components
+/// [`check_lemma6`]: crate::check_lemma6
+/// [`tarjan_scc`]: crate::tarjan_scc
+#[derive(Clone)]
 pub struct Digraph {
     n: usize,
     /// Words per row: `⌈n/64⌉`.
@@ -45,6 +57,9 @@ pub struct Digraph {
     out: Vec<u64>,
     /// In-rows: bit `u` of row `w` is set iff `u → w`.
     inc: Vec<u64>,
+    /// The source components, set by the first query since the last
+    /// [`Digraph::add_edge`].
+    sources: OnceLock<Vec<Vec<usize>>>,
 }
 
 impl Digraph {
@@ -56,6 +71,7 @@ impl Digraph {
             words,
             out: vec![0; n * words],
             inc: vec![0; n * words],
+            sources: OnceLock::new(),
         }
     }
 
@@ -92,6 +108,7 @@ impl Digraph {
         assert_ne!(u, w, "self-loops are not allowed in a simple digraph");
         self.out[u * self.words + w / 64] |= 1 << (w % 64);
         self.inc[w * self.words + u / 64] |= 1 << (u % 64);
+        self.sources.take();
     }
 
     /// Whether the edge `u → w` exists.
@@ -152,7 +169,16 @@ impl Digraph {
             words: self.words,
             out: self.inc.clone(),
             inc: self.out.clone(),
+            sources: OnceLock::new(),
         }
+    }
+
+    /// The source components, each sorted, ordered by smallest member:
+    /// found by the first call since the last [`Digraph::add_edge`] and
+    /// kept.
+    pub(crate) fn sources(&self) -> &[Vec<usize>] {
+        self.sources
+            .get_or_init(|| crate::source::find_source_components(self))
     }
 
     /// The out-row of `u`: bit `w` is set iff `u → w`.
@@ -185,6 +211,29 @@ impl Digraph {
             }
         }
         seen
+    }
+}
+
+/// Equal iff same vertex count and same edges; the in-rows are the
+/// out-rows transposed, and the cache is not compared.
+impl PartialEq for Digraph {
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n && self.out == other.out
+    }
+}
+
+impl Eq for Digraph {}
+
+/// The rows, without the cache, so that a queried graph prints as an
+/// unqueried one.
+impl fmt::Debug for Digraph {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Digraph")
+            .field("n", &self.n)
+            .field("words", &self.words)
+            .field("out", &self.out)
+            .field("inc", &self.inc)
+            .finish()
     }
 }
 
@@ -305,6 +354,21 @@ mod tests {
         assert!(r.has_edge(2, 1));
         assert_eq!(r.edge_count(), 2);
         assert_eq!(r.reversed(), g);
+    }
+
+    #[test]
+    fn queried_graph_equals_and_prints_as_unqueried() {
+        let g = Digraph::from_edges(3, [(0, 1), (1, 2)]);
+        let queried = g.clone();
+        assert_eq!(queried.sources(), [vec![0]]);
+        assert_eq!(queried, g);
+        assert_eq!(format!("{queried:?}"), format!("{g:?}"));
+    }
+
+    #[test]
+    fn is_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<Digraph>();
     }
 
     #[test]

@@ -15,11 +15,14 @@
 //! n = 10 000. There is no sparse form; the graphs of the two-stage
 //! protocol and of experiment E6 have at most a few dozen vertices.
 //!
-//! With `m` edges, [`tarjan_scc`], [`source_components`] and
-//! [`weakly_connected_components`] each take O(n·⌈n/64⌉ + m) time (Tarjan
-//! also sorts each component's members). Source components come straight
-//! from Tarjan's `vertex → component` map: a component is a source unless
-//! an edge enters it from another component.
+//! With `m` edges, [`tarjan_scc`] and [`weakly_connected_components`] each
+//! take O(n·⌈n/64⌉ + m) time (Tarjan also sorts each component's members).
+//! Source components come straight from Tarjan's `vertex → component` map:
+//! a component is a source unless an edge enters it from another
+//! component. A [`Digraph`] keeps them, so that O(n·⌈n/64⌉ + m) is paid
+//! once per graph, by its first source-component query, not once per
+//! call: [`source_components`], [`initial_cliques`] and the lemma checkers
+//! read the kept list until [`Digraph::add_edge`] changes the graph.
 //!
 //! ## Lemmas as code
 //!

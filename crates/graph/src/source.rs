@@ -17,12 +17,16 @@
 //! checker functions that the property-based tests and experiment E6 use as
 //! oracles.
 //!
-//! [`source_components`] reads the sources off Tarjan's `vertex →
-//! component` map: one pass over the in-rows marks each component that an
-//! edge enters from another component. With [`tarjan_scc`] that costs
-//! O(n·⌈n/64⌉ + m), and so does each checker; Lemma 7's weakly connected
-//! components cost the same again. [`source_components_reaching`] and
-//! [`chosen_source_component`] add one backward reachability walk.
+//! The sources are read off Tarjan's `vertex → component` map: one pass
+//! over the in-rows marks each component that an edge enters from another
+//! component. With [`tarjan_scc`] that costs O(n·⌈n/64⌉ + m), paid by the
+//! first reader of a graph, which keeps the list in the [`Digraph`]; later
+//! readers take it from there until [`Digraph::add_edge`] changes the
+//! graph. [`source_components`] then costs a copy of the list, and the
+//! checkers a pass over it, except that Lemma 7's weakly connected
+//! components cost O(n·⌈n/64⌉ + m) on every call.
+//! [`source_components_reaching`] and [`chosen_source_component`] add one
+//! backward reachability walk.
 
 use std::collections::BTreeSet;
 
@@ -32,6 +36,12 @@ use crate::weakly::weak_component_map;
 
 /// The source components of `g`, each sorted, ordered by smallest member.
 pub fn source_components(g: &Digraph) -> Vec<Vec<usize>> {
+    g.sources().to_vec()
+}
+
+/// The source components of `g` from one [`tarjan_scc`], each sorted,
+/// ordered by smallest member; [`Digraph`] keeps the result.
+pub(crate) fn find_source_components(g: &Digraph) -> Vec<Vec<usize>> {
     let scc = tarjan_scc(g);
     let component_of = scc.component_map();
     let mut entered = vec![false; scc.count()];
@@ -55,9 +65,10 @@ pub fn source_components(g: &Digraph) -> Vec<Vec<usize>> {
 /// Lemmas 6/7 guarantee this is nonempty for every `v`.
 pub fn source_components_reaching(g: &Digraph, v: usize) -> Vec<Vec<usize>> {
     let ancestors: BTreeSet<usize> = g.reaching(v);
-    source_components(g)
-        .into_iter()
+    g.sources()
+        .iter()
         .filter(|c| c.iter().all(|u| ancestors.contains(u)))
+        .cloned()
         .collect()
 }
 
@@ -101,11 +112,10 @@ pub fn check_lemma6(g: &Digraph, delta: usize) -> Result<(), String> {
             ));
         }
     }
-    let comps = source_components(g);
     if g.n() == 0 {
         return Ok(());
     }
-    match comps.iter().map(Vec::len).max() {
+    match g.sources().iter().map(Vec::len).max() {
         Some(largest) if largest > delta => Ok(()),
         Some(largest) => Err(format!(
             "no source component of size ≥ {} (largest is {largest})",
@@ -133,7 +143,7 @@ pub fn check_lemma7(g: &Digraph, delta: usize) -> Result<(), String> {
     // weakly connected component of any of its members.
     let (wcc_of, count) = weak_component_map(g);
     let mut has_large_source = vec![false; count];
-    for s in source_components(g) {
+    for s in g.sources() {
         if s.len() > delta {
             has_large_source[wcc_of[s[0]]] = true;
         }
@@ -155,7 +165,7 @@ pub fn check_lemma7(g: &Digraph, delta: usize) -> Result<(), String> {
 /// "when 2δ > n, then there can be only one source component"; with
 /// δ = L − 1 and majority L the protocol gets consensus).
 pub fn check_source_count_bound(g: &Digraph, delta: usize) -> Result<(), String> {
-    let count = source_components(g).len();
+    let count = g.sources().len();
     let bound = max_source_components(g.n(), delta);
     if g.n() > 0 && count > bound {
         return Err(format!("{count} source components exceed bound {bound}"));

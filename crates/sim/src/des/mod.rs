@@ -83,11 +83,6 @@ impl VirtualTime {
         self.0
     }
 
-    /// The immediately following instant.
-    pub const fn next(self) -> VirtualTime {
-        VirtualTime(self.0.saturating_add(1))
-    }
-
     /// This instant delayed by `delay` ticks (saturating).
     pub const fn plus(self, delay: u64) -> VirtualTime {
         VirtualTime(self.0.saturating_add(delay))
@@ -107,12 +102,7 @@ mod tests {
     #[test]
     fn virtual_time_orders_and_advances() {
         assert!(VirtualTime::ZERO < VirtualTime::new(1));
-        assert_eq!(VirtualTime::new(3).next(), VirtualTime::new(4));
         assert_eq!(VirtualTime::new(3).plus(4), VirtualTime::new(7));
-        assert_eq!(
-            VirtualTime::new(u64::MAX).next(),
-            VirtualTime::new(u64::MAX)
-        );
         assert_eq!(VirtualTime::new(5).to_string(), "t5");
     }
 }

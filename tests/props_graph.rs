@@ -6,8 +6,8 @@ use proptest::prelude::*;
 use kset::core::algorithms::two_stage::chosen_source_min;
 use kset::graph::{
     check_lemma6, check_lemma7, check_source_count_bound, chosen_source_component, gnp_digraph,
-    max_source_components, source_components, source_components_reaching, stage_one_graph,
-    tarjan_scc, weakly_connected_components, Digraph,
+    initial_cliques, max_source_components, source_components, source_components_reaching,
+    stage_one_graph, tarjan_scc, weakly_connected_components, Digraph,
 };
 use kset::sim::{ProcessId, ProcessSet};
 
@@ -346,6 +346,106 @@ fn adjacency_queries_past_one_word() {
             assert_eq!(g.predecessors(v).count(), g.in_degree(v), "{label}");
         }
     }
+}
+
+/// What every source-component reader answers on a graph: the readers
+/// that take a vertex at vertices 0, 63, 64, n/2 and n − 1 (in each word
+/// of a 130-vertex row), the lemma checkers at δ = 1, 2, 3.
+#[derive(Debug, PartialEq)]
+struct SourceAnswers {
+    sources: Vec<Vec<usize>>,
+    reaching: Vec<Vec<Vec<usize>>>,
+    chosen: Vec<Vec<usize>>,
+    cliques: Vec<Vec<usize>>,
+    checks: Vec<[Result<(), String>; 3]>,
+}
+
+fn source_answers(g: &Digraph) -> SourceAnswers {
+    let n = g.n();
+    let probes: Vec<usize> = [0, 63, 64, n / 2, n - 1]
+        .into_iter()
+        .filter(|&v| v < n)
+        .collect();
+    SourceAnswers {
+        sources: source_components(g),
+        reaching: probes
+            .iter()
+            .map(|&v| source_components_reaching(g, v))
+            .collect(),
+        chosen: probes
+            .iter()
+            .map(|&v| chosen_source_component(g, v))
+            .collect(),
+        cliques: initial_cliques(g),
+        checks: (1..=3)
+            .map(|d| {
+                [
+                    check_lemma6(g, d),
+                    check_lemma7(g, d),
+                    check_source_count_bound(g, d),
+                ]
+            })
+            .collect(),
+    }
+}
+
+/// `g`'s edges in a graph that has never been queried.
+fn unqueried(g: &Digraph) -> Digraph {
+    Digraph::from_edges(g.n(), g.edges())
+}
+
+/// A `Digraph` keeps its source components between queries; they must
+/// never answer for a graph that `add_edge` has changed since. Each graph
+/// is queried, then alternately gets two edges that merge two source
+/// components into one or an edge that makes one non-source, and is
+/// queried again, three times over.
+#[test]
+fn kept_source_components_follow_every_new_edge() {
+    let (mut merges, mut demotions) = (0, 0);
+    for n in [2usize, 7, 20, 64, 65, 130] {
+        let seed = n as u64;
+        let graphs = [
+            ("gnp 1%", gnp_digraph(n, 1, seed)),
+            ("gnp 3%", gnp_digraph(n, 3, seed)),
+            ("stage-one δ=1", stage_one_graph(n, 1, seed)),
+            ("stage-one δ=2", stage_one_graph(n, 2.min(n - 1), seed)),
+        ];
+        for (kind, mut g) in graphs {
+            for step in 0..3 {
+                let label = format!("{kind} n={n} step {step}");
+                let before = source_answers(&g);
+                assert_eq!(before, source_answers(&unqueried(&g)), "{label}");
+                assert_eq!(g, unqueried(&g), "{label}: queried ≠ unqueried");
+                let old = g.clone();
+                let sources = &before.sources;
+                if sources.len() > 1 && step % 2 == 0 {
+                    let (a, b) = (sources[0][0], sources[1][0]);
+                    g.add_edge(a, b);
+                    g.add_edge(b, a);
+                    merges += 1;
+                } else if let Some(u) = (0..n).find(|u| sources[0].binary_search(u).is_err()) {
+                    g.add_edge(u, sources[0][0]);
+                    demotions += 1;
+                } else {
+                    break; // one strongly connected graph: nothing left to change
+                }
+                let expected = source_answers(&unqueried(&g));
+                assert_ne!(expected.sources, before.sources, "{label}: no change");
+                assert_eq!(source_answers(&g), expected, "{label}");
+                assert_eq!(source_answers(&old), before, "{label}: clone moved");
+                let flipped = Digraph::from_edges(n, g.edges().map(|(u, w)| (w, u)));
+                assert_eq!(
+                    source_answers(&g.reversed()),
+                    source_answers(&flipped),
+                    "{label}: reversed"
+                );
+            }
+        }
+    }
+    assert!(
+        merges >= 20 && demotions >= 20,
+        "{merges} merges, {demotions} demotions"
+    );
 }
 
 /// FNV-1a over the little-endian bytes of `words`, continuing from `h`.
