@@ -140,8 +140,9 @@ fn bench_buffer_receive(c: &mut Criterion) {
             for env in &envelopes {
                 buf.push(env.clone());
             }
-            let got = buf.take_all_from(allowed);
-            let rest = buf.take_all();
+            let (mut got, mut rest) = (Vec::new(), Vec::new());
+            buf.take_all_from(allowed, &mut got);
+            buf.take_all(&mut rest);
             black_box((got.len(), rest.len()))
         });
     });

@@ -118,7 +118,7 @@ pub fn decision_bound(n: usize, l: usize) -> usize {
 }
 
 /// Per-process state of the two-stage protocol.
-#[derive(Debug, Clone, Hash)]
+#[derive(Debug, Hash)]
 pub struct TwoStage {
     me: ProcessId,
     l: usize,
@@ -133,12 +133,57 @@ pub struct TwoStage {
     decided: bool,
 }
 
-impl TwoStage {
-    /// Whether stage 1 is complete (heard-list frozen).
-    pub fn stage1_complete(&self) -> bool {
-        self.my_heard.is_some()
+/// Both methods destructure every field, so a new field is a compile error
+/// here rather than a stale copy. `clone_from` copies into `self`'s
+/// buffers, which is what the exhaustive explorer's undo log does before
+/// every step.
+impl Clone for TwoStage {
+    fn clone(&self) -> Self {
+        let TwoStage {
+            me,
+            l,
+            value,
+            sent_stage1,
+            heard1,
+            my_heard,
+            infos,
+            decided,
+        } = self;
+        TwoStage {
+            me: *me,
+            l: *l,
+            value: *value,
+            sent_stage1: *sent_stage1,
+            heard1: heard1.clone(),
+            my_heard: *my_heard,
+            infos: infos.clone(),
+            decided: *decided,
+        }
     }
 
+    fn clone_from(&mut self, source: &Self) {
+        let TwoStage {
+            me,
+            l,
+            value,
+            sent_stage1,
+            heard1,
+            my_heard,
+            infos,
+            decided,
+        } = source;
+        self.me = *me;
+        self.l = *l;
+        self.value = *value;
+        self.sent_stage1 = *sent_stage1;
+        self.heard1.clone_from(heard1);
+        self.my_heard = *my_heard;
+        self.infos.clone_from(infos);
+        self.decided = *decided;
+    }
+}
+
+impl TwoStage {
     /// The in-neighbour closure from this process over the known stage-2
     /// infos: `K = {me} ∪ heard(me) ∪ heard(heard(me)) ∪ …`. Returns
     /// `Some(K)` when every member's info is known (closure complete).
@@ -199,10 +244,30 @@ pub fn chosen_source_min(
     k: ProcessSet,
     heard: impl Fn(ProcessId) -> ProcessSet,
 ) -> Option<ProcessId> {
-    // In- and out-sets of G[k], indexed by process id.
+    // The in- and out-set rows live in one buffer per thread, taken for
+    // the call: a `heard` that calls back in gets a fresh one.
+    let mut rows = ROWS.take();
     let len = k.iter().last().map_or(0, |p| p.index() + 1);
-    let mut ins = vec![ProcessSet::new(); len];
-    let mut outs = vec![ProcessSet::new(); len];
+    rows.clear();
+    rows.resize(2 * len, ProcessSet::new());
+    let chosen = source_min_in(k, heard, &mut rows);
+    ROWS.set(rows);
+    chosen
+}
+
+thread_local! {
+    /// The row buffer of [`chosen_source_min`].
+    static ROWS: std::cell::Cell<Vec<ProcessSet>> = const { std::cell::Cell::new(Vec::new()) };
+}
+
+/// [`chosen_source_min`] on `rows`: the first half becomes the in-sets of
+/// G[k] and the second half its out-sets, each indexed by process id.
+fn source_min_in(
+    k: ProcessSet,
+    heard: impl Fn(ProcessId) -> ProcessSet,
+    rows: &mut [ProcessSet],
+) -> Option<ProcessId> {
+    let (ins, outs) = rows.split_at_mut(rows.len() / 2);
     for p in k {
         let from = heard(p) & k;
         ins[p.index()] = from;
@@ -215,8 +280,8 @@ pub fn chosen_source_min(
         if non_source.contains(c) {
             continue;
         }
-        let down = reach(c, &outs, k);
-        if reach(c, &ins, down).is_subset(down) {
+        let down = reach(c, outs, k);
+        if reach(c, ins, down).is_subset(down) {
             return Some(c);
         }
         non_source |= down;
@@ -340,6 +405,44 @@ mod tests {
             Some(s) => {
                 sim.run_to_report(&mut SeededRandom::new(s).with_deliver_percent(80), 500_000)
             }
+        }
+    }
+
+    #[test]
+    fn clone_from_equals_clone() {
+        use kset_sim::explore::{explore, Branching, ExploreConfig};
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let fingerprint = |s: &TwoStage| {
+            let mut h = DefaultHasher::new();
+            s.hash(&mut h);
+            (format!("{s:?}"), h.finish())
+        };
+        // Every process state of every configuration a small n = 3
+        // exploration visits.
+        let sim: Simulation<TwoStage, _> = Simulation::new(
+            two_stage_inputs(2, &distinct_proposals(3)),
+            CrashPlan::none(),
+        );
+        let config = ExploreConfig {
+            max_depth: 14,
+            max_states: 10_000,
+            branching: Branching::NoneOrAll,
+        };
+        let mut states = Vec::new();
+        let report = explore(&sim, &config, |s| {
+            states.extend(ProcessId::all(3).map(|p| s.state(p).clone()));
+            Ok(())
+        });
+        assert!(report.verified());
+        assert!(states.len() > 700, "{} states", states.len());
+        // Each cloned onto an unrelated state: another process's, further
+        // along or not as far.
+        for (i, source) in states.iter().enumerate() {
+            let mut copy = states[(i + states.len() / 2 + 1) % states.len()].clone();
+            copy.clone_from(source);
+            assert_eq!(fingerprint(&copy), fingerprint(&source.clone()));
+            assert_eq!(fingerprint(&copy), fingerprint(source));
         }
     }
 

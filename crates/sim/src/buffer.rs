@@ -33,7 +33,8 @@ use crate::message::Envelope;
 /// let mut buf: Buffer<&'static str> = Buffer::new();
 /// buf.push(Envelope::new(MsgId::new(0), ProcessId::new(1), ProcessId::new(0), Time::new(1), "a"));
 /// assert_eq!(buf.len(), 1);
-/// let taken = buf.take_oldest_from(ProcessId::new(1), 1);
+/// let mut taken = Vec::new();
+/// buf.take_oldest_from(ProcessId::new(1), 1, &mut taken);
 /// assert_eq!(taken.len(), 1);
 /// assert!(buf.is_empty());
 /// ```
@@ -100,47 +101,45 @@ impl<M> Buffer<M> {
         self.by_src.get(src.index()).map_or(0, VecDeque::len)
     }
 
-    /// Removes and returns the oldest `count` messages from `src` (fewer if
-    /// fewer are pending), preserving their send order.
-    pub fn take_oldest_from(&mut self, src: ProcessId, count: usize) -> Vec<Envelope<M>> {
+    /// Moves the oldest `count` messages from `src` (fewer if fewer are
+    /// pending) to the end of `out`, preserving their send order.
+    pub fn take_oldest_from(&mut self, src: ProcessId, count: usize, out: &mut Vec<Envelope<M>>) {
         let Some(queue) = self.by_src.get_mut(src.index()) else {
-            return Vec::new();
+            return;
         };
         let take = count.min(queue.len());
-        let out: Vec<_> = queue.drain(..take).collect();
-        self.len -= out.len();
-        out
+        out.extend(queue.drain(..take));
+        self.len -= take;
     }
 
-    /// Removes and returns every pending message, ordered by (source, send
-    /// order).
-    pub fn take_all(&mut self) -> Vec<Envelope<M>> {
-        let mut out = Vec::with_capacity(self.len);
+    /// Moves every pending message to the end of `out`, ordered by (source,
+    /// send order).
+    pub fn take_all(&mut self, out: &mut Vec<Envelope<M>>) {
+        out.reserve(self.len);
         for queue in &mut self.by_src {
             out.extend(queue.drain(..));
         }
         self.len = 0;
-        out
     }
 
-    /// Removes and returns all pending messages whose source is in `allowed`,
-    /// ordered by (source, send order). Messages from other sources remain.
-    pub fn take_all_from(&mut self, allowed: ProcessSet) -> Vec<Envelope<M>> {
-        let mut out = Vec::new();
+    /// Moves every pending message whose source is in `allowed` to the end
+    /// of `out`, ordered by (source, send order). Messages from other
+    /// sources remain.
+    pub fn take_all_from(&mut self, allowed: ProcessSet, out: &mut Vec<Envelope<M>>) {
+        let before = out.len();
         for (i, queue) in self.by_src.iter_mut().enumerate() {
             if allowed.contains(ProcessId::new(i)) {
                 out.extend(queue.drain(..));
             }
         }
-        self.len -= out.len();
-        out
+        self.len -= out.len() - before;
     }
 
-    /// Removes and returns the messages with the given ids, in the order the
-    /// ids are listed (a repeated id counts at its first position). Ids not
-    /// present in the buffer are silently skipped; the remaining messages
-    /// keep their per-source send order.
-    pub fn take_ids(&mut self, ids: &[MsgId]) -> Vec<Envelope<M>> {
+    /// Moves the messages with the given ids to the end of `out`, in the
+    /// order the ids are listed (a repeated id counts at its first
+    /// position). Ids not present in the buffer are silently skipped; the
+    /// remaining messages keep their per-source send order.
+    pub fn take_ids(&mut self, ids: &[MsgId], out: &mut Vec<Envelope<M>>) {
         // Each wanted id with its first position in `ids`, sorted by id.
         let mut firsts: Vec<(MsgId, usize)> = ids.iter().copied().zip(0..).collect();
         firsts.sort_unstable();
@@ -161,7 +160,7 @@ impl<M> Buffer<M> {
         }
         self.len -= taken.len();
         taken.sort_unstable_by_key(|&(first, _)| first);
-        taken.into_iter().map(|(_, env)| env).collect()
+        out.extend(taken.into_iter().map(|(_, env)| env));
     }
 
     /// Ids of all pending messages, ordered by (source, send order).
@@ -221,21 +220,24 @@ mod tests {
         b.push(env(0, 1, 10));
         b.push(env(1, 1, 11));
         b.push(env(2, 1, 12));
-        let first_two = b.take_oldest_from(ProcessId::new(1), 2);
+        let mut got = Vec::new();
+        b.take_oldest_from(ProcessId::new(1), 2, &mut got);
         assert_eq!(
-            first_two.iter().map(|e| e.payload).collect::<Vec<_>>(),
+            got.iter().map(|e| e.payload).collect::<Vec<_>>(),
             vec![10, 11]
         );
         assert_eq!(b.len(), 1);
-        let rest = b.take_oldest_from(ProcessId::new(1), 5);
-        assert_eq!(rest.len(), 1);
-        assert_eq!(rest[0].payload, 12);
+        b.take_oldest_from(ProcessId::new(1), 5, &mut got);
+        assert_eq!(got.len(), 3, "appended after the first two");
+        assert_eq!(got[2].payload, 12);
     }
 
     #[test]
     fn take_oldest_from_absent_source_is_empty() {
         let mut b: Buffer<u32> = Buffer::new();
-        assert!(b.take_oldest_from(ProcessId::new(9), 3).is_empty());
+        let mut got = Vec::new();
+        b.take_oldest_from(ProcessId::new(9), 3, &mut got);
+        assert!(got.is_empty());
     }
 
     #[test]
@@ -244,7 +246,8 @@ mod tests {
         b.push(env(5, 2, 25));
         b.push(env(1, 1, 11));
         b.push(env(3, 2, 23));
-        let all = b.take_all();
+        let mut all = Vec::new();
+        b.take_all(&mut all);
         assert_eq!(
             all.iter().map(|e| e.payload).collect::<Vec<_>>(),
             vec![11, 25, 23]
@@ -259,7 +262,8 @@ mod tests {
         b.push(env(1, 2, 20));
         b.push(env(2, 3, 30));
         let allowed: ProcessSet = [ProcessId::new(1), ProcessId::new(3)].into();
-        let got = b.take_all_from(allowed);
+        let mut got = Vec::new();
+        b.take_all_from(allowed, &mut got);
         assert_eq!(
             got.iter().map(|e| e.payload).collect::<Vec<_>>(),
             vec![10, 30]
@@ -274,7 +278,8 @@ mod tests {
         b.push(env(0, 1, 10));
         b.push(env(1, 2, 20));
         b.push(env(2, 1, 12));
-        let got = b.take_ids(&[MsgId::new(2), MsgId::new(1)]);
+        let mut got = Vec::new();
+        b.take_ids(&[MsgId::new(2), MsgId::new(1)], &mut got);
         assert_eq!(
             got.iter().map(|e| e.payload).collect::<Vec<_>>(),
             vec![12, 20]
@@ -286,7 +291,8 @@ mod tests {
     fn take_ids_skips_unknown_ids() {
         let mut b = Buffer::new();
         b.push(env(0, 1, 10));
-        let got = b.take_ids(&[MsgId::new(7), MsgId::new(0)]);
+        let mut got = Vec::new();
+        b.take_ids(&[MsgId::new(7), MsgId::new(0)], &mut got);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].payload, 10);
     }

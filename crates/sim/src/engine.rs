@@ -409,8 +409,10 @@ where
     }
 
     /// The one step body. `log` hears the pre-step configuration, every
-    /// message appended and the delivered envelopes; [`NoUndo`] ignores
-    /// them all and compiles away, as [`NoObserver`] does for `obs`.
+    /// message appended and the delivered envelopes, and lends the step the
+    /// buffers it receives and sends into; [`NoUndo`] ignores it all and
+    /// lends fresh buffers, and compiles away, as [`NoObserver`] does for
+    /// `obs`.
     fn step_logged<Ob, L>(
         &mut self,
         pid: ProcessId,
@@ -433,23 +435,20 @@ where
         self.total_steps += 1;
         let emit = self.tracing || obs.observes_events();
 
-        // 1. Receive: extract the chosen subset of the buffer.
-        let delivered: Vec<Envelope<P::Msg>> = {
-            let buf = &mut self.buffers[pid.index()];
-            match delivery {
-                Delivery::None => Vec::new(),
-                Delivery::All => buf.take_all(),
-                Delivery::AllFrom(srcs) => buf.take_all_from(srcs),
-                Delivery::OldestPerSource(list) => {
-                    let mut out = Vec::new();
-                    for (src, count) in list {
-                        out.extend(buf.take_oldest_from(src, count));
-                    }
-                    out
+        // 1. Receive: move the chosen subset of the buffer out.
+        let mut delivered = log.lend_delivered();
+        let buf = &mut self.buffers[pid.index()];
+        match delivery {
+            Delivery::None => {}
+            Delivery::All => buf.take_all(&mut delivered),
+            Delivery::AllFrom(srcs) => buf.take_all_from(srcs, &mut delivered),
+            Delivery::OldestPerSource(list) => {
+                for (src, count) in list {
+                    buf.take_oldest_from(src, count, &mut delivered);
                 }
-                Delivery::Ids(ids) => buf.take_ids(&ids),
             }
-        };
+            Delivery::Ids(ids) => buf.take_ids(&ids, &mut delivered),
+        }
 
         // 2. Query the failure detector. In the unfavourable dimension-6
         // setting the oracle is `NoOracle` and the sample is `()` — still
@@ -459,9 +458,9 @@ where
 
         // 3. Atomic transition.
         let info = ProcessInfo::new(pid, self.n);
-        let mut effects = Effects::new(info);
+        let mut effects = Effects::with_sends(info, log.lend_sends());
         self.procs[pid.index()].step(&delivered, fd_sample.as_ref(), &mut effects);
-        let (sends, decision) = effects.into_parts();
+        let (mut sends, decision) = effects.into_parts();
 
         // 4. Write-once decision discipline.
         let mut decided_now = None;
@@ -501,7 +500,7 @@ where
         // it is recorded as dropped — traces and fingerprints must not claim
         // a delivery that never happened.
         let mut sent: Vec<SendEvent> = Vec::with_capacity(if emit { sends.len() } else { 0 });
-        for (dst, payload) in sends {
+        for (dst, payload) in sends.drain(..) {
             let id = MsgId::new(self.next_msg_id);
             self.next_msg_id += 1;
             let dropped =
@@ -521,6 +520,7 @@ where
                 log.appended(dst, id);
             }
         }
+        log.sent(sends);
 
         // 7. Report the step's events — to the internal trace recorder and
         // the external observer alike, in the contract order of
@@ -609,8 +609,12 @@ where
     /// the violations, time, message ids and step count, and every buffer
     /// the step took from or appended to. Does nothing if `log` holds no
     /// step (none recorded, or already undone).
+    ///
+    /// The pre-step local state and oracle are swapped back in from the
+    /// log's slot, which keeps the post-step ones for the next step to
+    /// refresh in place: an undo frees nothing.
     pub(crate) fn undo(&mut self, log: &mut UndoLog<P, O>) {
-        let Some(saved) = log.saved.take() else {
+        let (Some(saved), Some((state, oracle))) = (log.saved.take(), log.slot.as_mut()) else {
             return;
         };
         let pid = saved.pid;
@@ -619,8 +623,8 @@ where
             self.buffers[dst.index()].drop_newest_from(pid);
         }
         self.buffers[i].restore(log.delivered.drain(..));
-        self.procs[i] = saved.state;
-        self.oracle = saved.oracle;
+        std::mem::swap(&mut self.procs[i], state);
+        std::mem::swap(&mut self.oracle, oracle);
         self.statuses[i] = saved.status;
         if !saved.decided {
             self.decided[i] = None;
@@ -811,18 +815,30 @@ impl std::hash::Hasher for ComponentHasher {
     }
 }
 
-/// What one step tells its log. [`NoUndo`], the log of every plain step,
-/// ignores it all and compiles away; the explorer's [`UndoLog`] keeps what
-/// reverts the step; the discrete-event engine's route list
-/// ([`Simulation::step_routed`]) keeps the messages it appended.
+/// What one step tells its log, and the buffers a log lends the step.
+/// [`NoUndo`], the log of every plain step, ignores it all, lends fresh
+/// buffers and compiles away; the explorer's [`UndoLog`] keeps what
+/// reverts the step and lends the same buffers step after step; the
+/// discrete-event engine's route list ([`Simulation::step_routed`]) keeps
+/// the messages it appended.
 pub(crate) trait StepLog<P: Process, O: Oracle<Sample = P::Fd>> {
     /// The step of `pid` goes ahead; `sim` is still the pre-step
     /// configuration.
     fn begin(&mut self, sim: &Simulation<P, O>, pid: ProcessId);
+    /// An empty buffer for the envelopes the step delivers.
+    fn lend_delivered(&mut self) -> Vec<Envelope<P::Msg>> {
+        Vec::new()
+    }
+    /// An empty buffer for the messages the step sends.
+    fn lend_sends(&mut self) -> Vec<(ProcessId, P::Msg)> {
+        Vec::new()
+    }
     /// The step appended message `id` to `dst`'s buffer.
     fn appended(&mut self, dst: ProcessId, id: MsgId);
+    /// The step is done with its send buffer, now drained.
+    fn sent(&mut self, _sends: Vec<(ProcessId, P::Msg)>) {}
     /// The step is done with the envelopes it delivered.
-    fn delivered(&mut self, envs: Vec<Envelope<P::Msg>>);
+    fn delivered(&mut self, _envs: Vec<Envelope<P::Msg>>) {}
 }
 
 /// The log of a step nobody will undo.
@@ -832,8 +848,6 @@ impl<P: Process, O: Oracle<Sample = P::Fd>> StepLog<P, O> for NoUndo {
     fn begin(&mut self, _sim: &Simulation<P, O>, _pid: ProcessId) {}
 
     fn appended(&mut self, _dst: ProcessId, _id: MsgId) {}
-
-    fn delivered(&mut self, _envs: Vec<Envelope<P::Msg>>) {}
 }
 
 /// The route list of a discrete-event step: `(destination, id)` of every
@@ -844,30 +858,39 @@ impl<P: Process, O: Oracle<Sample = P::Fd>> StepLog<P, O> for Vec<(ProcessId, Ms
     fn appended(&mut self, dst: ProcessId, id: MsgId) {
         self.push((dst, id));
     }
-
-    fn delivered(&mut self, _envs: Vec<Envelope<P::Msg>>) {}
 }
 
 /// The undo log of one step: what [`Simulation::undo`] needs to put the
 /// configuration back. One log is reused across steps; each
 /// [`Simulation::step_undoable`] overwrites it.
+///
+/// A log allocates only while it warms up. Its slot holds the stepping
+/// process's pre-step local state and the pre-step oracle: a step refreshes
+/// the slot with [`Clone::clone_from`], which reuses the slot's heap
+/// buffers when the types implement it so (see [`Process`]), and the undo
+/// swaps the slot back in, so the slot then holds the post-step values and
+/// their buffers for the next step. The log also lends every step the
+/// buffers it receives and sends into, and keeps their capacity when the
+/// step hands them back.
 pub(crate) struct UndoLog<P: Process, O> {
-    /// The pre-step part of the configuration outside the buffers; `None`
-    /// when there is nothing to undo.
-    saved: Option<Saved<P, O>>,
+    /// The pre-step local state and oracle of the logged step, or their
+    /// post-step values once it is undone; `None` before the first step.
+    slot: Option<(P, O)>,
+    /// The rest of what a step changes outside the buffers, as it was
+    /// before; `None` when there is nothing to undo.
+    saved: Option<Saved>,
     /// The envelopes the step delivered.
     delivered: Vec<Envelope<P::Msg>>,
     /// The destination of each message the step appended, in send order.
     appended: Vec<ProcessId>,
+    /// The send buffer lent to each step, empty between steps.
+    sends: Vec<(ProcessId, P::Msg)>,
 }
 
-/// What a step of `pid` can change outside the buffers, as it was before.
-struct Saved<P: Process, O> {
+/// What a step of `pid` can change outside the buffers, the local state and
+/// the oracle, as it was before.
+struct Saved {
     pid: ProcessId,
-    state: P,
-    /// The oracle, which a sample may change (a free zero-sized copy for
-    /// [`NoOracle`]).
-    oracle: O,
     status: Status,
     /// Whether `pid` had decided. Decisions are write-once, so a step can
     /// only set a decision that was unset; this flag restores it.
@@ -883,9 +906,11 @@ impl<P: Process, O> UndoLog<P, O> {
     /// An empty log.
     pub(crate) fn new() -> Self {
         UndoLog {
+            slot: None,
             saved: None,
             delivered: Vec::new(),
             appended: Vec::new(),
+            sends: Vec::new(),
         }
     }
 
@@ -903,10 +928,15 @@ where
 {
     fn begin(&mut self, sim: &Simulation<P, O>, pid: ProcessId) {
         let i = pid.index();
+        match &mut self.slot {
+            Some((state, oracle)) => {
+                state.clone_from(&sim.procs[i]);
+                oracle.clone_from(&sim.oracle);
+            }
+            slot @ None => *slot = Some((sim.procs[i].clone(), sim.oracle.clone())),
+        }
         self.saved = Some(Saved {
             pid,
-            state: sim.procs[i].clone(),
-            oracle: sim.oracle.clone(),
             status: sim.statuses[i],
             decided: sim.decided_flags[i],
             crash_time: sim.observed.crash_time(pid),
@@ -918,8 +948,22 @@ where
         self.appended.clear();
     }
 
+    fn lend_delivered(&mut self) -> Vec<Envelope<P::Msg>> {
+        let mut envs = std::mem::take(&mut self.delivered);
+        envs.clear();
+        envs
+    }
+
+    fn lend_sends(&mut self) -> Vec<(ProcessId, P::Msg)> {
+        std::mem::take(&mut self.sends)
+    }
+
     fn appended(&mut self, dst: ProcessId, _id: MsgId) {
         self.appended.push(dst);
+    }
+
+    fn sent(&mut self, sends: Vec<(ProcessId, P::Msg)>) {
+        self.sends = sends;
     }
 
     fn delivered(&mut self, envs: Vec<Envelope<P::Msg>>) {

@@ -24,7 +24,9 @@
 //! adversary for algorithms insensitive to intra-source batching.
 
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 
+use crate::buffer::Buffer;
 use crate::engine::{combine_fingerprints, Simulation, UndoLog};
 use crate::ids::{ProcessId, ProcessSet};
 use crate::oracle::Oracle;
@@ -143,6 +145,17 @@ pub struct ViolationPath {
 /// costs a clone: a duplicate costs a step and an undo, a fresh child two
 /// of each.
 ///
+/// No child costs an allocation either. Each depth keeps one undo log,
+/// which refreshes its copy of the stepping process's state in place with
+/// [`Clone::clone_from`] and swaps it back on undo, and lends every step
+/// the same delivery and send buffers. The delivery menu is iterated, not
+/// collected, and the dedup set takes each fingerprint as its own hash. So
+/// once the logs are warm, the search allocates only as its dedup set, its
+/// path and its per-depth records grow: 151 allocations for the 13 800
+/// children of two-stage n = 3, L = 2, [`Branching::PerSource`]. A
+/// [`Process`] whose state owns heap buffers keeps this only if it
+/// implements `clone_from` to reuse them (see [`Process`]).
+///
 /// Taking a recorded child again relies on a step being a function of the
 /// configuration and the choice, so that the step lands on the
 /// configuration `check` saw; debug builds assert that it does. The undo
@@ -187,9 +200,10 @@ where
     P::Fd: std::hash::Hash,
     O: Oracle<Sample = P::Fd> + Clone,
 {
-    // Fingerprint dedup set: u64 fingerprints are already well-mixed, so a
-    // hash set gives O(1) membership on this hot path.
-    let mut seen: HashSet<u64> = HashSet::new();
+    // Fingerprint dedup set. A fingerprint is a SipHash value, uniform over
+    // u64, so the set takes it as its own hash instead of hashing it again;
+    // no key comes from outside the program.
+    let mut seen: HashSet<u64, BuildHasherDefault<Prehashed>> = HashSet::default();
     let mut report = ExploreReport {
         states_expanded: 0,
         terminals: 0,
@@ -253,7 +267,7 @@ where
                 if !current.is_alive(pid) {
                     continue;
                 }
-                for delivery in delivery_menu(&current, pid, config.branching) {
+                for delivery in delivery_menu(current.buffer(pid), config.branching) {
                     let no_delivery = matches!(delivery, Delivery::None);
                     if no_delivery && noops.contains(pid) {
                         any_move = true;
@@ -426,42 +440,44 @@ where
     Ok(explore(&sim, config, check))
 }
 
-/// The delivery branching menu for one process in one configuration.
-fn delivery_menu<P, O>(
-    sim: &Simulation<P, O>,
-    pid: ProcessId,
-    branching: Branching,
-) -> Vec<Delivery>
-where
-    P: Process,
-    P::Fd: std::hash::Hash,
-    O: Oracle<Sample = P::Fd>,
-{
-    let buffer = sim.buffer(pid);
-    if buffer.is_empty() {
-        return vec![Delivery::None];
-    }
-    match branching {
-        Branching::NoneOrAll => vec![Delivery::None, Delivery::All],
-        Branching::PerSource => {
-            // Enumerate every subset of the pending sources directly on the
-            // bitset: the classic sub = (sub - 1) & mask walk, width-generic
-            // via `WideSet::subsets` so it holds past 128 processes.
-            let sources = buffer.sources();
-            // The menu holds exactly 2^len entries (Delivery::None plus the
-            // 2^len − 1 non-empty subsets); pre-reserve that count for the
-            // common small source sets but cap the reservation so a wide
-            // source set cannot demand a huge up-front allocation per
-            // explored step — the extend below grows the Vec as needed.
-            const MENU_RESERVE_CAP: usize = 256;
-            let menu_len = 1usize
-                .checked_shl(sources.len() as u32)
-                .unwrap_or(usize::MAX);
-            let mut menu = Vec::with_capacity(menu_len.min(MENU_RESERVE_CAP));
-            menu.push(Delivery::None);
-            menu.extend(sources.subsets().map(Delivery::AllFrom));
-            menu
+/// The delivery branching menu for a process with pending messages
+/// `buffer`: `None` first, then `All`, or each non-empty subset of the
+/// pending sources. The menu owns what it needs of `buffer`, so the caller
+/// can step the configuration while it iterates.
+fn delivery_menu<M>(buffer: &Buffer<M>, branching: Branching) -> impl Iterator<Item = Delivery> {
+    // Enumerate the subsets directly on the bitset: the classic
+    // sub = (sub - 1) & mask walk, width-generic via `WideSet::subsets` so
+    // it holds past 128 processes. An empty buffer has no subsets.
+    let (all, sources) = match branching {
+        _ if buffer.is_empty() => (None, ProcessSet::new()),
+        Branching::NoneOrAll => (Some(Delivery::All), ProcessSet::new()),
+        Branching::PerSource => (None, buffer.sources()),
+    };
+    std::iter::once(Delivery::None)
+        .chain(all)
+        .chain(sources.subsets().map(Delivery::AllFrom))
+}
+
+/// The hasher of the dedup set: a key, a SipHash fingerprint, is its own
+/// hash.
+#[derive(Default)]
+struct Prehashed(u64);
+
+impl Hasher for Prehashed {
+    fn write(&mut self, bytes: &[u8]) {
+        // Only `write_u64` is reached for the set's `u64` keys; fold any
+        // other input in so the hasher stays total.
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
         }
+    }
+
+    fn write_u64(&mut self, fingerprint: u64) {
+        self.0 = fingerprint;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -643,11 +659,15 @@ mod tests {
         for p in ProcessId::all(3) {
             sim.step(p, Delivery::None).unwrap();
         }
-        let menu = delivery_menu(&sim, ProcessId::new(0), Branching::PerSource);
+        let buffer = sim.buffer(ProcessId::new(0));
         // p1's buffer holds messages from p2 and p3: 4 subsets.
-        assert_eq!(menu.len(), 4);
-        let menu_na = delivery_menu(&sim, ProcessId::new(0), Branching::NoneOrAll);
-        assert_eq!(menu_na.len(), 2);
+        assert_eq!(delivery_menu(buffer, Branching::PerSource).count(), 4);
+        assert_eq!(delivery_menu(buffer, Branching::NoneOrAll).count(), 2);
+        let empty = Buffer::<u64>::new();
+        for branching in [Branching::NoneOrAll, Branching::PerSource] {
+            let menu: Vec<Delivery> = delivery_menu(&empty, branching).collect();
+            assert_eq!(menu, vec![Delivery::None]);
+        }
     }
 
     #[test]

@@ -890,10 +890,32 @@ impl<const W: usize, const N: usize> From<[ProcessId; N]> for WideSet<W> {
 /// assert_eq!(m.len(), 1);
 /// assert_eq!(m.senders().len(), 1);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SenderMap<M> {
     slots: Vec<Option<M>>,
     len: usize,
+}
+
+/// Both methods destructure every field, so a new field is a compile error
+/// here rather than a stale copy.
+impl<M: Clone> Clone for SenderMap<M> {
+    fn clone(&self) -> Self {
+        let SenderMap { slots, len } = self;
+        SenderMap {
+            slots: slots.clone(),
+            len: *len,
+        }
+    }
+
+    /// Copies `source` into `self`'s slots, value by value with
+    /// `clone_from`: the slot vector allocates only when `source` has more
+    /// slots than `self` has room for.
+    fn clone_from(&mut self, source: &Self) {
+        let SenderMap { slots, len } = source;
+        self.slots.clone_from(slots);
+        self.len = *len;
+        self.debug_check_density();
+    }
 }
 
 impl<M> Default for SenderMap<M> {
@@ -1337,6 +1359,46 @@ mod tests {
         let mut m: SenderMap<u32> = SenderMap::new();
         assert_eq!(*m.entry_or_insert_with(pid(0), || 1), 1);
         assert_eq!(*m.entry_or_insert_with(pid(0), || 2), 1, "first value wins");
+    }
+
+    #[test]
+    fn sender_map_clone_from_equals_clone() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let hash = |m: &SenderMap<u32>| {
+            let mut h = DefaultHasher::new();
+            m.hash(&mut h);
+            h.finish()
+        };
+        // Sources and targets of 0, 2, 4 and 8 slots, so a target has more,
+        // fewer or equally many slots than its source, with entries at
+        // either end and in between.
+        let map = |slots: usize, entries: &[usize]| {
+            let mut m: SenderMap<u32> = SenderMap::with_capacity(slots);
+            for &i in entries {
+                m.insert(pid(i), 100 + i as u32);
+            }
+            m
+        };
+        let maps = [
+            map(0, &[]),
+            map(2, &[1]),
+            map(4, &[0, 3]),
+            map(8, &[]),
+            map(8, &[2, 5, 7]),
+        ];
+        for source in &maps {
+            for target in &maps {
+                let mut copy = target.clone();
+                copy.clone_from(source);
+                assert_eq!(copy, *source);
+                assert_eq!(copy, source.clone());
+                assert_eq!(hash(&copy), hash(source));
+                assert_eq!(copy.len(), source.len());
+                assert_eq!(copy.slots.len(), source.slots.len());
+                assert_eq!(copy.len, copy.slots.iter().flatten().count(), "density");
+            }
+        }
     }
 
     #[test]

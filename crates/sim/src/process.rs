@@ -65,6 +65,14 @@ impl ProcessInfo {
 /// The `Hash` supertrait provides the state fingerprint recorded in traces
 /// and compared by the indistinguishability checker; `Clone` enables
 /// snapshotting configurations.
+///
+/// The exhaustive explorer ([`crate::explore`]) snapshots the stepping
+/// process before every step it may undo, into a slot it keeps per depth,
+/// with [`Clone::clone_from`]. A state that owns heap buffers (a `Vec`, a
+/// [`SenderMap`](crate::SenderMap)) should override `clone_from` to copy
+/// into the slot's buffers: a derived `Clone` stays correct, but its
+/// `clone_from` allocates a fresh copy on every snapshot and frees the old
+/// one.
 pub trait Process: Clone + fmt::Debug + Hash + 'static {
     /// The message payload type of the algorithm.
     type Msg: Clone + fmt::Debug + PartialEq + Hash + 'static;
@@ -112,9 +120,16 @@ pub struct Effects<M, V> {
 impl<M: Clone, V> Effects<M, V> {
     /// Creates an empty effects collector for the given process.
     pub fn new(info: ProcessInfo) -> Self {
+        Self::with_sends(info, Vec::new())
+    }
+
+    /// An empty collector that records its sends into `sends` (cleared
+    /// first), so a caller can hand the same allocation to step after step.
+    pub(crate) fn with_sends(info: ProcessInfo, mut sends: Vec<(ProcessId, M)>) -> Self {
+        sends.clear();
         Effects {
             info,
-            sends: Vec::new(),
+            sends,
             decision: None,
         }
     }

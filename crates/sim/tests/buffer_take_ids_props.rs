@@ -17,7 +17,9 @@ use kset_sim::{Buffer, Envelope, MsgId, ProcessId, Time};
 fn reference_take_ids(buf: &mut Buffer<u32>, ids: &[MsgId]) -> Vec<Envelope<u32>> {
     let wanted: BTreeSet<MsgId> = ids.iter().copied().collect();
     let mut extracted: BTreeMap<MsgId, Envelope<u32>> = BTreeMap::new();
-    for env in buf.take_all() {
+    let mut all = Vec::new();
+    buf.take_all(&mut all);
+    for env in all {
         if wanted.contains(&env.id) {
             extracted.insert(env.id, env);
         } else {
@@ -100,7 +102,8 @@ fn take_ids_matches_the_ordered_map_reference() {
         // Two rounds, so the second request meets a buffer with holes.
         for round in 0..2 {
             let request = random_request(&mut draws, &known);
-            let got = fast.take_ids(&request);
+            let mut got = Vec::new();
+            fast.take_ids(&request, &mut got);
             let want = reference_take_ids(&mut reference, &request);
             let tag = format!("case {case} round {round}: request {request:?}");
             assert_eq!(got, want, "{tag}: taken envelopes");

@@ -117,13 +117,13 @@ proptest! {
             pushed.insert(id);
             buf.push(Envelope::new(id, pid(*src), pid(0), Time::new(next_id), *payload));
         }
-        let mut taken = BTreeSet::new();
+        let mut envs = Vec::new();
         for (src, count) in &takes {
-            for env in buf.take_oldest_from(pid(*src), *count) {
-                prop_assert!(taken.insert(env.id), "double delivery of {}", env.id);
-            }
+            buf.take_oldest_from(pid(*src), *count, &mut envs);
         }
-        for env in buf.take_all() {
+        buf.take_all(&mut envs);
+        let mut taken = BTreeSet::new();
+        for env in envs {
             prop_assert!(taken.insert(env.id), "double delivery of {}", env.id);
         }
         prop_assert_eq!(taken, pushed);
@@ -150,10 +150,11 @@ proptest! {
             ));
         }
         let mut received: Vec<Vec<u64>> = vec![vec![]; 3];
+        let mut envs = Vec::new();
         for (src, count) in take_pattern {
-            for env in buf.take_oldest_from(pid(src), count) {
-                received[src].push(env.payload);
-            }
+            envs.clear();
+            buf.take_oldest_from(pid(src), count, &mut envs);
+            received[src].extend(envs.iter().map(|env| env.payload));
         }
         for src in 0..3 {
             let k = received[src].len();
