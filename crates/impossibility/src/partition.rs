@@ -111,13 +111,6 @@ impl PartitionSpec {
         self.dbar
     }
 
-    /// `D = D1 ∪ … ∪ D(k−1)`.
-    pub fn d_union(&self) -> ProcessSet {
-        self.blocks
-            .iter()
-            .fold(ProcessSet::new(), |acc, b| acc | *b)
-    }
-
     /// All parts in order `D1, …, D(k−1), D̄` — the block list handed to the
     /// partition scheduler and the partition failure detector.
     pub fn all_parts(&self) -> Vec<ProcessSet> {

@@ -735,6 +735,11 @@ where
     /// alive process that the crash plan will crash. The exhaustive
     /// explorer rehashes only the components a step changed and lands on
     /// this same value.
+    ///
+    /// Components and their combination come from one fixed-key
+    /// folded-multiply hash, so the value is the same in every run of a
+    /// build. It is no persisted format: a digest that must outlive a build
+    /// uses [`stable_fingerprint`](crate::stable_fingerprint).
     pub fn config_fingerprint(&self) -> u64 {
         combine_fingerprints(ProcessId::all(self.n).map(|p| self.process_fingerprint(p)))
     }
@@ -747,7 +752,7 @@ where
     pub(crate) fn process_fingerprint(&self, pid: ProcessId) -> u64 {
         use std::hash::{Hash, Hasher};
         let i = pid.index();
-        let mut h = ComponentHasher::new();
+        let mut h = FingerprintHasher::new();
         i.hash(&mut h);
         self.procs[i].hash(&mut h);
         self.statuses[i].is_alive().hash(&mut h);
@@ -768,50 +773,107 @@ where
     }
 }
 
-/// The hasher of a fingerprint component. It appends the bytes of every
-/// field to an inline buffer and hands the whole buffer to SipHash
-/// (`DefaultHasher`) in one `write`, writing early only when the buffer is
-/// full. SipHash's value depends only on the byte stream, not on how the
-/// stream is split into writes, so a component hashes to exactly the value
-/// a `DefaultHasher` fed field by field gives, for one `write` where that
-/// pays one per field (26–31 on average for a two-stage component).
-struct ComponentHasher {
-    sip: std::collections::hash_map::DefaultHasher,
-    /// Holds every two-stage component of the benchmark's n ≤ 4 states
-    /// (at most 260 bytes), so those take a single `write`.
-    buf: [u8; 512],
-    len: usize,
+/// The hasher of configuration fingerprints, components and their
+/// combination alike: a folded-multiply hash of the wyhash and foldhash
+/// family. Every integer write is one little-endian word of a 128-bit
+/// sponge, and a byte write is its 8-byte words plus a zero-padded tail
+/// word. A full sponge `(lo, hi)` folds into the accumulator with one
+/// 64×64→128-bit multiply, `acc = fold(lo ^ acc, hi ^ K)`. `finish` folds
+/// in the last half-filled sponge and the number of bits absorbed, and
+/// avalanches with one more fold.
+///
+/// Its constants are fixed, so it is no keyed PRF, and it needs none: every
+/// key is a configuration the program built itself. An integer write, the
+/// only kind the fingerprinted fields make, is a branch and at most one
+/// multiply: small enough to inline into the `Hash` impls that feed a
+/// component field by field.
+struct FingerprintHasher {
+    acc: u64,
+    /// The first word of a half-filled sponge.
+    lo: u64,
+    /// Whether the sponge holds `lo` and waits for its second word.
+    half: bool,
+    /// The bits absorbed so far.
+    bits: u64,
 }
 
-impl ComponentHasher {
+/// The first 64 bits of π's fraction, which [`FingerprintHasher`] folds
+/// into every sponge's second word and the bit count.
+const FOLD_KEY: u64 = 0x243f_6a88_85a3_08d3;
+/// The next 64 bits: the accumulator's start.
+const FOLD_SEED: u64 = 0x1319_8a2e_0370_7344;
+/// The next 64 bits: the final avalanche's multiplier.
+const FOLD_OUT: u64 = 0xa409_3822_299f_31d0;
+
+/// The 128-bit product of `a` and `b`, its halves XORed together.
+#[inline(always)]
+fn fold(a: u64, b: u64) -> u64 {
+    let product = u128::from(a) * u128::from(b);
+    (product as u64) ^ ((product >> 64) as u64)
+}
+
+impl FingerprintHasher {
     fn new() -> Self {
-        ComponentHasher {
-            sip: std::collections::hash_map::DefaultHasher::new(),
-            buf: [0; 512],
-            len: 0,
+        FingerprintHasher {
+            acc: FOLD_SEED,
+            lo: 0,
+            half: false,
+            bits: 0,
         }
+    }
+
+    /// Puts `word`, of `bits` absorbed bits, into the sponge, and folds the
+    /// sponge once it is full.
+    #[inline(always)]
+    fn absorb(&mut self, word: u64, bits: u64) {
+        self.bits = self.bits.wrapping_add(bits);
+        if self.half {
+            self.acc = fold(self.lo ^ self.acc, word ^ FOLD_KEY);
+        } else {
+            self.lo = word;
+        }
+        self.half = !self.half;
     }
 }
 
-impl std::hash::Hasher for ComponentHasher {
+impl std::hash::Hasher for FingerprintHasher {
     #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        if bytes.len() > self.buf.len() - self.len {
-            self.sip.write(&self.buf[..self.len]);
-            self.len = 0;
-            if bytes.len() > self.buf.len() {
-                self.sip.write(bytes);
-                return;
-            }
-        }
-        self.buf[self.len..self.len + bytes.len()].copy_from_slice(bytes);
-        self.len += bytes.len();
+    fn write_u8(&mut self, x: u8) {
+        self.absorb(u64::from(x), 8);
     }
 
+    #[inline]
+    fn write_u16(&mut self, x: u16) {
+        self.absorb(u64::from(x), 16);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, x: u32) {
+        self.absorb(u64::from(x), 32);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        self.absorb(x, 64);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, x: usize) {
+        self.absorb(x as u64, usize::BITS.into());
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.absorb(u64::from_le_bytes(word), 8 * chunk.len() as u64);
+        }
+    }
+
+    #[inline]
     fn finish(&self) -> u64 {
-        let mut sip = self.sip.clone();
-        sip.write(&self.buf[..self.len]);
-        sip.finish()
+        let tail = if self.half { self.lo } else { 0 };
+        fold(fold(tail ^ self.acc, self.bits ^ FOLD_KEY), FOLD_OUT)
     }
 }
 
@@ -972,10 +1034,11 @@ where
 }
 
 /// Folds per-process fingerprint components, in process order, into a
-/// configuration fingerprint (see [`Simulation::config_fingerprint`]).
+/// configuration fingerprint (see [`Simulation::config_fingerprint`]): each
+/// component is one word of a [`FingerprintHasher`].
 pub(crate) fn combine_fingerprints(components: impl IntoIterator<Item = u64>) -> u64 {
     use std::hash::Hasher;
-    let mut h = std::collections::hash_map::DefaultHasher::new();
+    let mut h = FingerprintHasher::new();
     for c in components {
         h.write_u64(c);
     }
@@ -1993,8 +2056,8 @@ mod tests {
     }
 
     /// A fingerprint component as documented, each field fed on its own into
-    /// a fresh `DefaultHasher`: the index, the local state, liveness and the
-    /// decision flag, each buffered `(src, payload)`, and the local step
+    /// a fresh fingerprint hasher: the index, the local state, liveness and
+    /// the decision flag, each buffered `(src, payload)`, and the local step
     /// count while a planned crash is pending.
     fn reference_component<P, O>(sim: &Simulation<P, O>, pid: ProcessId) -> u64
     where
@@ -2004,7 +2067,7 @@ mod tests {
     {
         use std::hash::{Hash, Hasher};
         let i = pid.index();
-        let mut h = std::collections::hash_map::DefaultHasher::new();
+        let mut h = FingerprintHasher::new();
         i.hash(&mut h);
         sim.procs[i].hash(&mut h);
         sim.is_alive(pid).hash(&mut h);
@@ -2037,9 +2100,8 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_components_hash_as_field_by_field_siphash() {
+    fn fingerprint_components_hash_field_by_field() {
         use rand::{Rng, SeedableRng};
-        use std::hash::Hasher;
         let p = ProcessId::new;
         // Seeded Churn runs, with and without planned crashes.
         for seed in 0..60u64 {
@@ -2074,8 +2136,8 @@ mod tests {
                 assert_components_match_reference(&sim, &format!("seed {seed}, step {step}"));
             }
         }
-        // Components longer than the inline buffer: n = 64, every broadcast
-        // pending, so each buffer holds 64 messages.
+        // Long components: n = 64, every broadcast pending, so each buffer
+        // holds 64 messages.
         let mut wide: Simulation<MinEcho, NoOracle> =
             Simulation::new((0..64).collect(), CrashPlan::none());
         for q in ProcessId::all(64) {
@@ -2083,19 +2145,24 @@ mod tests {
         }
         assert_eq!(wide.buffer(p(0)).len(), 64);
         assert_components_match_reference(&wide, "n = 64");
-        // Any split of a byte stream, writes longer than the buffer included.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        for _ in 0..50 {
-            let mut ours = ComponentHasher::new();
-            let mut sip = std::collections::hash_map::DefaultHasher::new();
-            for _ in 0..rng.gen_range(0..12usize) {
-                let len = rng.gen_range(0..1200usize);
-                let bytes: Vec<u8> = (0..len).map(|_| rng.gen_range(0..=255u8)).collect();
-                ours.write(&bytes);
-                sip.write(&bytes);
-            }
-            assert_eq!(ours.finish(), sip.finish());
-        }
+    }
+
+    #[test]
+    fn fingerprint_hasher_reads_bytes_as_words_and_counts_bits() {
+        use std::hash::Hasher;
+        let hash = |write: &dyn Fn(&mut FingerprintHasher)| {
+            let mut h = FingerprintHasher::new();
+            write(&mut h);
+            h.finish()
+        };
+        let x = 0x0123_4567_89ab_cdef_u64;
+        assert_eq!(
+            hash(&|h| h.write(&x.to_le_bytes())),
+            hash(&|h| h.write_u64(x))
+        );
+        // Equal words, unequal bit counts.
+        assert_ne!(hash(&|h| h.write(&[1])), hash(&|h| h.write(&[1, 0])));
+        assert_ne!(hash(&|h| h.write_u8(1)), hash(&|h| h.write_u64(1)));
     }
 
     #[test]

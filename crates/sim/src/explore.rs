@@ -200,9 +200,9 @@ where
     P::Fd: std::hash::Hash,
     O: Oracle<Sample = P::Fd> + Clone,
 {
-    // Fingerprint dedup set. A fingerprint is a SipHash value, uniform over
-    // u64, so the set takes it as its own hash instead of hashing it again;
-    // no key comes from outside the program.
+    // Fingerprint dedup set. A fingerprint leaves its hasher avalanched, so
+    // the set takes it as its own hash instead of hashing it again; no key
+    // comes from outside the program.
     let mut seen: HashSet<u64, BuildHasherDefault<Prehashed>> = HashSet::default();
     let mut report = ExploreReport {
         states_expanded: 0,
@@ -458,8 +458,8 @@ fn delivery_menu<M>(buffer: &Buffer<M>, branching: Branching) -> impl Iterator<I
         .chain(sources.subsets().map(Delivery::AllFrom))
 }
 
-/// The hasher of the dedup set: a key, a SipHash fingerprint, is its own
-/// hash.
+/// The hasher of the dedup set: a key, a configuration fingerprint whose
+/// hasher ends with an avalanche, is its own hash.
 #[derive(Default)]
 struct Prehashed(u64);
 

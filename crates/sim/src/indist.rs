@@ -82,14 +82,6 @@ pub fn indistinguishable_for_set<V: Clone>(a: &Trace<V>, b: &Trace<V>, d: Proces
         .all(|p| compare_views(a, b, p).is_indistinguishable())
 }
 
-/// Strict variant: every process in `D` must compare as
-/// [`ViewComparison::EqualUntilDecision`] (it decided in both runs and went
-/// through identical states up to the decision).
-pub fn equal_until_decision_for_set<V: Clone>(a: &Trace<V>, b: &Trace<V>, d: ProcessSet) -> bool {
-    d.iter()
-        .all(|p| compare_views(a, b, p) == ViewComparison::EqualUntilDecision)
-}
-
 /// Definition 3: `R′ ≼_D R` — every run of `runs_prime` has an
 /// indistinguishable (for `D`) counterpart in `runs`.
 pub fn compatible<V: Clone>(runs_prime: &[Trace<V>], runs: &[Trace<V>], d: ProcessSet) -> bool {

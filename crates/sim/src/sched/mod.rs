@@ -62,14 +62,6 @@ impl Choice {
             delivery: Delivery::All,
         }
     }
-
-    /// A step of `pid` receiving nothing.
-    pub fn deliver_none(pid: ProcessId) -> Self {
-        Choice {
-            pid,
-            delivery: Delivery::None,
-        }
-    }
 }
 
 /// Liveness status of a process as seen by schedulers.

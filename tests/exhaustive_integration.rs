@@ -6,7 +6,8 @@
 //! covered, so these tests rule out adversarial schedules entirely — the
 //! strongest executable statement the simulator can make.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::hash::Hasher;
 
 use kset::core::algorithms::naive::{DecideOwn, LeaderAdopt};
 use kset::core::algorithms::two_stage::{two_stage_inputs, TwoStage};
@@ -14,7 +15,10 @@ use kset::core::task::distinct_proposals;
 use kset::fd::PartitionSigmaOmega;
 use kset::sim::explore::{explore, Branching, ExploreConfig, ExploreReport};
 use kset::sim::sched::Delivery;
-use kset::sim::{CrashPlan, Omission, Oracle, Process, ProcessId, ProcessSet, Simulation, Time};
+use kset::sim::{
+    stable_fingerprint, CrashPlan, Omission, Oracle, Process, ProcessId, ProcessSet, Simulation,
+    StableHasher, Time,
+};
 
 fn pid(i: usize) -> ProcessId {
     ProcessId::new(i)
@@ -293,11 +297,28 @@ where
     }
 }
 
+/// Whether some alive process of `s` has a planned crash still to come.
+/// Its fingerprint component then covers its local step count too.
+fn crash_pending<P, O>(s: &Simulation<P, O>) -> bool
+where
+    P: Process,
+    P::Fd: std::hash::Hash,
+    O: Oracle<Sample = P::Fd>,
+{
+    ProcessId::all(s.n()).any(|p| s.is_alive(p) && s.crash_plan().crash_for(p).is_some())
+}
+
 /// Explores `sim` and replays, in the check callback, each visited
 /// configuration's full menu from outside: every child is forked with the
 /// public `clone` + `step` and hashed with `config_fingerprint()`. The
 /// replay must generate exactly the explorer's children, and its own dedup
 /// set must close over exactly the configurations the explorer expanded.
+///
+/// Every replayed child with no pending planned crash is also keyed by the
+/// `Debug` rendering of its documented fields, which involves no hash:
+/// fingerprints must be equal exactly when renderings are. So no two
+/// distinct configurations collide, and none differs in what it hashes but
+/// not in what it shows.
 fn assert_fork_equivalent<P, O>(sim: &Simulation<P, O>, config: &ExploreConfig) -> ExploreReport
 where
     P: Process,
@@ -307,6 +328,8 @@ where
 {
     let mut seen: HashSet<u64> = HashSet::from([sim.config_fingerprint()]);
     let mut children = 0usize;
+    let mut renderings: HashMap<String, u64> = HashMap::new();
+    let mut rendered: HashSet<u64> = HashSet::new();
     let report = explore(sim, config, |s| {
         if s.all_correct_decided() {
             return Ok(()); // terminal: the explorer does not expand it
@@ -316,7 +339,14 @@ where
                 let mut child = s.clone();
                 if child.step(pid, delivery).is_ok() {
                     children += 1;
-                    seen.insert(child.config_fingerprint());
+                    let fingerprint = child.config_fingerprint();
+                    seen.insert(fingerprint);
+                    if !crash_pending(&child) {
+                        let rendering = format!("{:?}", documented_fields(&child));
+                        let first = *renderings.entry(rendering).or_insert(fingerprint);
+                        assert_eq!(first, fingerprint, "equal renderings, unequal fingerprints");
+                        rendered.insert(fingerprint);
+                    }
                 }
             }
         }
@@ -325,6 +355,9 @@ where
     assert_fresh_children_expanded(&report);
     assert_eq!(children, report.children, "replayed children");
     assert_eq!(seen.len(), report.states_expanded, "replayed dedup set");
+    // Each rendering has one fingerprint; as many fingerprints as
+    // renderings means that no two renderings share one.
+    assert_eq!(rendered.len(), renderings.len(), "a fingerprint collision");
     report
 }
 
@@ -388,20 +421,57 @@ fn in_place_exploration_equals_forking_every_child() {
     );
 }
 
-/// FNV-1a-64 over the little-endian bytes of `values`, in order.
-fn fnv1a(values: &[u64]) -> u64 {
-    values
-        .iter()
-        .flat_map(|v| v.to_le_bytes())
-        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+#[test]
+#[ignore = "175 241 children, each forked and rendered, ≈ 2 s in release; run by the weekly CI job"]
+fn in_place_exploration_equals_forking_every_child_n4() {
+    // The n = 4, L = 3 `NoneOrAll` verdict the benchmark's explore
+    // workload runs, every child cross-checked against its rendering.
+    let sim: Simulation<TwoStage, _> = Simulation::new(
+        two_stage_inputs(3, &distinct_proposals(4)),
+        CrashPlan::none(),
+    );
+    let config = ExploreConfig {
+        max_depth: 128,
+        max_states: 100_000,
+        branching: Branching::NoneOrAll,
+    };
+    let report = assert_fork_equivalent(&sim, &config);
+    assert_eq!((report.states_expanded, report.children), (28_468, 175_241));
+}
+
+/// The fields a configuration fingerprint documents, read through the
+/// public API, process by process: the index, the local state, liveness,
+/// whether the process decided, and its buffer's `(src, payload)` pairs in
+/// FIFO order. The local step count that a pending planned crash adds to a
+/// component is not public, so it is missing here.
+type Fields<'a, P> = Vec<(
+    usize,
+    &'a P,
+    bool,
+    bool,
+    Vec<(ProcessId, &'a <P as Process>::Msg)>,
+)>;
+
+fn documented_fields<P, O>(s: &Simulation<P, O>) -> Fields<'_, P>
+where
+    P: Process,
+    P::Fd: std::hash::Hash,
+    O: Oracle<Sample = P::Fd>,
+{
+    ProcessId::all(s.n())
+        .map(|p| {
+            let buffer = s.buffer(p).iter().map(|e| (e.src, &e.payload)).collect();
+            let decided = s.decision(p).is_some();
+            (p.index(), s.state(p), s.is_alive(p), decided, buffer)
         })
+        .collect()
 }
 
 /// Explores `sim` with `check` and returns the report with the digest of
 /// every configuration handed to `check`, in order, root included: the
-/// FNV-1a-64 of their `config_fingerprint()` values. Also returns how many
-/// configurations `check` saw.
+/// `stable_fingerprint` of their documented fields, which does not depend
+/// on the fingerprint hasher. Also returns how many configurations `check`
+/// saw.
 fn search_order<P, O>(
     sim: &Simulation<P, O>,
     config: &ExploreConfig,
@@ -413,12 +483,14 @@ where
     P::Fd: std::hash::Hash,
     O: Oracle<Sample = P::Fd> + Clone,
 {
-    let mut order = Vec::new();
+    let mut order = StableHasher::new();
+    let mut checked = 0;
     let report = explore(sim, config, |s| {
-        order.push(s.config_fingerprint());
+        order.write_u64(stable_fingerprint(&documented_fields(s)));
+        checked += 1;
         check(s)
     });
-    (report, fnv1a(&order), order.len())
+    (report, order.finish(), checked)
 }
 
 /// The check "at most `k` distinct decisions".
@@ -440,9 +512,10 @@ where
 #[test]
 fn search_order_is_pinned() {
     // The pins above hold the set of states and the counters; these hold
-    // the order in which `check` sees the configurations, and with it every
-    // fingerprint value. On a truncated run the order also decides which
-    // configurations get expanded.
+    // the order in which `check` sees the configurations. On a truncated run
+    // the order also decides which configurations get expanded. The digests
+    // read the configurations' public fields, not their fingerprints, so a
+    // new fingerprint hasher must leave them as they are.
     let config = |max_depth, max_states, branching| ExploreConfig {
         max_depth,
         max_states,
@@ -458,7 +531,7 @@ fn search_order_is_pinned() {
     assert!(report.verified(), "{report:?}");
     assert_eq!(
         (digest, checked, report.states_expanded),
-        (0xa49e_decc_6c88_94b1, 2263, 2263)
+        (0xcfc8_ed3a_d4be_9634, 2263, 2263)
     );
     assert_eq!(counters(&report), (13800, 11538, 4194, 11, 31));
 
@@ -473,14 +546,14 @@ fn search_order_is_pinned() {
         |_| Ok(()),
     );
     assert!(report.verified(), "{report:?}");
-    assert_eq!((digest, checked), (0xd478_38f6_33ed_0011, 621));
+    assert_eq!((digest, checked), (0xbb00_ce46_c093_d650, 621));
 
     let n4 = two_stage(4, 3, CrashPlan::none());
     let (report, digest, checked) =
         search_order(&n4, &config(128, 5_000, Branching::PerSource), at_most(1));
     assert!(report.truncated && report.violation.is_none(), "{report:?}");
     assert_eq!(report.states_expanded, 5_000);
-    assert_eq!(digest, 0x4bdc_3933_ef65_7d35, "{checked} checked");
+    assert_eq!(digest, 0xdcee_3a52_753d_3b5f, "{checked} checked");
     assert_eq!(counters(&report), (43423, 38334, 14543, 21, 140));
 
     let blocks: Vec<ProcessSet> = vec![[pid(0), pid(1), pid(2)].into(), [pid(3)].into()];
@@ -495,7 +568,25 @@ fn search_order_is_pinned() {
     let violation = report.violation.as_ref().expect("a violation is reachable");
     assert_eq!(
         (digest, report.states_expanded, violation.path.len()),
-        (0xccb0_9838_2f1f_c11b, 7, 4)
+        (0x09bf_c975_c53c_0ab5, 7, 4)
+    );
+
+    // The fingerprint values themselves, on the four roots. Unlike the
+    // digests above, they change with the fingerprint hasher.
+    let roots = [
+        n3.config_fingerprint(),
+        late.config_fingerprint(),
+        n4.config_fingerprint(),
+        leader.config_fingerprint(),
+    ];
+    assert_eq!(
+        roots,
+        [
+            0x3064_a0cc_0473_6027,
+            0xaf58_d0d3_40ee_cab5,
+            0x8678_81c9_65f6_467d,
+            0x5a6b_1bf6_68d2_3f4c
+        ]
     );
 }
 
