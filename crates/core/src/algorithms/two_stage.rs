@@ -54,10 +54,17 @@
 //! are exactly the source components of `G` that reach the process. The
 //! answer is therefore the minimum of the graph rule's component;
 //! `tests/props_graph.rs` checks the two against each other.
+//!
+//! The rule is one body, generic over the [`WideSet`] width. A process runs
+//! it at the narrowest width its system needs: one 64-bit limb when
+//! `n ≤ 64` ([`chosen_source_min_one_limb`], with its rows on the
+//! stack), else the full [`PSET_LIMBS`] of a [`ProcessSet`]
+//! ([`chosen_source_min`], with its rows in a per-thread buffer). Each set
+//! operation of the walks then touches one word instead of eight.
 
 use kset_sim::{
     Effects, Envelope, Process, ProcessId, ProcessInfo, ProcessSet, Scenario, ScenarioProcess,
-    SenderMap,
+    SenderMap, WideSet, PSET_LIMBS,
 };
 
 use crate::task::Val;
@@ -187,14 +194,14 @@ impl TwoStage {
     /// The in-neighbour closure from this process over the known stage-2
     /// infos: `K = {me} ∪ heard(me) ∪ heard(heard(me)) ∪ …`. Returns
     /// `Some(K)` when every member's info is known (closure complete).
-    fn closure(&self) -> Option<ProcessSet> {
-        // kset-lint: allow(unchecked-capacity): self.me is a live process id of a capacity-validated system, so the singleton cannot overflow
-        let mut k = ProcessSet::singleton(self.me);
+    fn closure<const W: usize>(&self) -> Option<WideSet<W>> {
+        // kset-lint: allow(unchecked-capacity): self.me is a process of a system that fits W limbs (see `decision`), so the singleton cannot overflow
+        let mut k = WideSet::singleton(self.me);
         let mut frontier = k;
         while !frontier.is_empty() {
-            let mut heard = ProcessSet::new();
+            let mut heard = WideSet::new();
             for p in frontier {
-                heard |= self.infos.get(p)?.1; // info missing: not closed yet
+                heard |= narrow(self.infos.get(p)?.1); // info missing: not closed yet
             }
             frontier = heard - k;
             k |= heard;
@@ -202,13 +209,34 @@ impl TwoStage {
         Some(k)
     }
 
+    /// The heard-list of `p`, empty while its info is unknown.
+    fn heard<const W: usize>(&self, p: ProcessId) -> WideSet<W> {
+        self.infos.get(p).map_or(WideSet::new(), |i| narrow(i.1))
+    }
+
     /// The decision once the closure is complete: the proposal of the
     /// smallest member of a source component of the known stage-one graph.
-    fn decision(&self) -> Option<Val> {
-        let k = self.closure()?;
-        let c = chosen_source_min(k, |p| self.infos.get(p).map_or(ProcessSet::new(), |i| i.1))?;
+    /// In a system of `n ≤ 64` processes every set fits one limb, so the
+    /// rule runs on one-limb sets there; wider systems run it at the full
+    /// [`ProcessSet`] width.
+    fn decision(&self, n: usize) -> Option<Val> {
+        let c = if n <= WideSet::<1>::CAPACITY {
+            chosen_source_min_one_limb(self.closure()?, |p| self.heard(p))
+        } else {
+            chosen_source_min(self.closure()?, |p| self.heard(p))
+        }?;
         self.infos.get(c).map(|i| i.0)
     }
+}
+
+/// The first `W` limbs of `s`: all of it when its members are below
+/// `W × 64`, as every set of a system that fits `W` limbs is.
+fn narrow<const W: usize>(s: ProcessSet) -> WideSet<W> {
+    debug_assert!(
+        s.limbs()[W.min(PSET_LIMBS)..].iter().all(|&limb| limb == 0),
+        "{s} does not fit {W} limbs"
+    );
+    WideSet::from_limbs(std::array::from_fn(|i| s.limbs()[i]))
 }
 
 /// The two-stage decision rule (see the module docs): the smallest member
@@ -247,12 +275,40 @@ pub fn chosen_source_min(
     // The in- and out-set rows live in one buffer per thread, taken for
     // the call: a `heard` that calls back in gets a fresh one.
     let mut rows = ROWS.take();
-    let len = k.iter().last().map_or(0, |p| p.index() + 1);
     rows.clear();
-    rows.resize(2 * len, ProcessSet::new());
+    rows.resize(2 * row_count(k), ProcessSet::new());
     let chosen = source_min_in(k, heard, &mut rows);
     ROWS.set(rows);
     chosen
+}
+
+/// [`chosen_source_min`] on one-limb sets, which hold the processes of a
+/// system of at most 64: the same rule and answers, on an eighth of the
+/// width, with rows on the stack.
+///
+/// ```
+/// use kset_core::algorithms::two_stage::chosen_source_min_one_limb;
+/// use kset_sim::{ProcessId, WideSet};
+///
+/// let pid = ProcessId::new;
+/// // p1 hears p0 and p0 hears p2, which is outside k: the source component
+/// // of G[k] is {p0}.
+/// let heard = |p: ProcessId| -> WideSet<1> {
+///     match p.index() {
+///         1 => [pid(0)].into(),
+///         _ => [pid(2)].into(),
+///     }
+/// };
+/// let k: WideSet<1> = [pid(0), pid(1)].into();
+/// assert_eq!(chosen_source_min_one_limb(k, heard), Some(pid(0)));
+/// ```
+pub fn chosen_source_min_one_limb(
+    k: WideSet<1>,
+    heard: impl Fn(ProcessId) -> WideSet<1>,
+) -> Option<ProcessId> {
+    let mut rows = [WideSet::new(); 2 * WideSet::<1>::CAPACITY];
+    let len = row_count(k);
+    source_min_in(k, heard, &mut rows[..2 * len])
 }
 
 thread_local! {
@@ -260,12 +316,19 @@ thread_local! {
     static ROWS: std::cell::Cell<Vec<ProcessSet>> = const { std::cell::Cell::new(Vec::new()) };
 }
 
-/// [`chosen_source_min`] on `rows`: the first half becomes the in-sets of
-/// G[k] and the second half its out-sets, each indexed by process id.
-fn source_min_in(
-    k: ProcessSet,
-    heard: impl Fn(ProcessId) -> ProcessSet,
-    rows: &mut [ProcessSet],
+/// The rows each half of a row buffer needs for `k`: one per id up to its
+/// largest member.
+fn row_count<const W: usize>(k: WideSet<W>) -> usize {
+    k.iter().last().map_or(0, |p| p.index() + 1)
+}
+
+/// The decision rule on `rows`, empty on entry: the first half becomes the
+/// in-sets of `G[k]` and the second half its out-sets, each indexed by
+/// process id.
+fn source_min_in<const W: usize>(
+    k: WideSet<W>,
+    heard: impl Fn(ProcessId) -> WideSet<W>,
+    rows: &mut [WideSet<W>],
 ) -> Option<ProcessId> {
     let (ins, outs) = rows.split_at_mut(rows.len() / 2);
     for p in k {
@@ -275,7 +338,7 @@ fn source_min_in(
             outs[u.index()].insert(p);
         }
     }
-    let mut non_source = ProcessSet::new();
+    let mut non_source = WideSet::new();
     for c in k {
         if non_source.contains(c) {
             continue;
@@ -292,12 +355,12 @@ fn source_min_in(
 /// The members reachable from `c` along `edges`, `c` included. The walk
 /// stops as soon as it leaves `within`, so the result is a subset of
 /// `within` iff the whole reachable set is.
-fn reach(c: ProcessId, edges: &[ProcessSet], within: ProcessSet) -> ProcessSet {
-    // kset-lint: allow(unchecked-capacity): c is a member of a ProcessSet, so it is below the capacity
-    let mut seen = ProcessSet::singleton(c);
+fn reach<const W: usize>(c: ProcessId, edges: &[WideSet<W>], within: WideSet<W>) -> WideSet<W> {
+    // kset-lint: allow(unchecked-capacity): c is a member of a WideSet<W>, so it is below the capacity
+    let mut seen = WideSet::singleton(c);
     let mut frontier = seen;
     while !frontier.is_empty() && seen.is_subset(within) {
-        let mut next = ProcessSet::new();
+        let mut next = WideSet::new();
         for u in frontier {
             next |= edges[u.index()];
         }
@@ -376,7 +439,7 @@ impl Process for TwoStage {
         }
         // Decide once the in-neighbour closure is complete.
         if !self.decided {
-            if let Some(value) = self.decision() {
+            if let Some(value) = self.decision(effects.info().n) {
                 self.decided = true;
                 effects.decide(value);
             }

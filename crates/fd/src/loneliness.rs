@@ -1,10 +1,10 @@
 //! The loneliness detector L.
 //!
 //! Introduced (in generalized form L(k)) by the paper's authors in their
-//! OPODIS'09 companion paper [2] and by Delporte-Gallet et al. (DISC'08) as
+//! OPODIS'09 companion paper \[2\] and by Delporte-Gallet et al. (DISC'08) as
 //! the weakest failure detector for message-passing (n−1)-set agreement. We
 //! use it on the k = n−1 endpoint of Corollary 13 (the paper cites Σ(n−1)
-//! from [3] for that endpoint; L is the equivalent classical device and
+//! from \[3\] for that endpoint; L is the equivalent classical device and
 //! keeps the algorithm elementary — see DESIGN.md for the substitution
 //! note).
 //!

@@ -16,8 +16,8 @@
 //! one, exactly as in the run definition `ρ = (C0, C1, …)`.
 //!
 //! Crashes come from a [`CrashPlan`]: initially-dead processes never step;
-//! a scheduled crash ends the process's final step with an [`Omission`]
-//! rule applied to that step's sends (the model's "may omit sending messages
+//! a scheduled crash ends the process's final step with an
+//! [`Omission`](crate::failure::Omission) rule applied to that step's sends (the model's "may omit sending messages
 //! to a subset of receivers in the very last step").
 
 use std::collections::BTreeSet;
@@ -731,10 +731,10 @@ where
     ///
     /// The value is a fixed combination of one component per process, in
     /// process order; each component covers that process's local state,
-    /// liveness, decision flag and buffer, plus the local step count of an
-    /// alive process that the crash plan will crash. The exhaustive
-    /// explorer rehashes only the components a step changed and lands on
-    /// this same value.
+    /// liveness, decision (the value, not only whether there is one) and
+    /// buffer, plus the local step count of an alive process that the crash
+    /// plan will crash. The exhaustive explorer rehashes only the components
+    /// a step changed and lands on this same value.
     ///
     /// Components and their combination come from one fixed-key
     /// folded-multiply hash, so the value is the same in every run of a
@@ -745,18 +745,30 @@ where
     }
 
     /// The configuration-fingerprint component of `pid`: its local state,
-    /// liveness, decision flag and buffer contents, the buffer as
+    /// liveness, decision and buffer contents, the buffer as
     /// `(src, payload)` pairs in FIFO order. While the plan's crash of `pid`
     /// is pending, also `pid`'s local step count, hashed last: that count
     /// decides when the crash strikes.
+    #[inline]
     pub(crate) fn process_fingerprint(&self, pid: ProcessId) -> u64 {
+        self.fingerprint_component(pid).0
+    }
+
+    /// `pid`'s fingerprint component, and the hash of its local part: the
+    /// index, local state, liveness and decision that open the component,
+    /// before the buffer. A `None` step of an alive process reads only that
+    /// part (and its detector sample), which is what the explorer's set of
+    /// inert local states keys on.
+    #[inline]
+    pub(crate) fn fingerprint_component(&self, pid: ProcessId) -> (u64, u64) {
         use std::hash::{Hash, Hasher};
         let i = pid.index();
         let mut h = FingerprintHasher::new();
         i.hash(&mut h);
         self.procs[i].hash(&mut h);
         self.statuses[i].is_alive().hash(&mut h);
-        self.decided_flags[i].hash(&mut h);
+        self.decided[i].hash(&mut h);
+        let local = h.finish();
         for env in self.buffers[i].iter() {
             env.src.hash(&mut h);
             env.payload.hash(&mut h);
@@ -769,7 +781,7 @@ where
                 }
             }
         }
-        h.finish()
+        (h.finish(), local)
     }
 }
 
@@ -2057,7 +2069,7 @@ mod tests {
 
     /// A fingerprint component as documented, each field fed on its own into
     /// a fresh fingerprint hasher: the index, the local state, liveness and
-    /// the decision flag, each buffered `(src, payload)`, and the local step
+    /// the decision, each buffered `(src, payload)`, and the local step
     /// count while a planned crash is pending.
     fn reference_component<P, O>(sim: &Simulation<P, O>, pid: ProcessId) -> u64
     where
@@ -2071,7 +2083,7 @@ mod tests {
         i.hash(&mut h);
         sim.procs[i].hash(&mut h);
         sim.is_alive(pid).hash(&mut h);
-        sim.decided_flags[i].hash(&mut h);
+        sim.decision(pid).hash(&mut h);
         for env in sim.buffer(pid).iter() {
             env.src.hash(&mut h);
             env.payload.hash(&mut h);

@@ -28,7 +28,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::buffer::Buffer;
 use crate::engine::{combine_fingerprints, Simulation, UndoLog};
-use crate::ids::{ProcessId, ProcessSet};
+use crate::ids::{ProcessId, ProcessSet, SubsetIter, PSET_LIMBS};
 use crate::oracle::Oracle;
 use crate::process::Process;
 use crate::sched::{Choice, Delivery};
@@ -86,11 +86,6 @@ pub struct ExploreReport {
     /// The depth of the deepest configuration reached (the initial one is
     /// at depth 0).
     pub max_depth: usize,
-    /// The most configurations waiting at once to be expanded: fresh
-    /// children recorded and not yet taken, over every depth of the current
-    /// path. The initial configuration waits alone at first, so this is at
-    /// least 1.
-    pub peak_stack: usize,
     /// Whether the state or depth budget was exhausted (the check is then
     /// partial, not even complete up to the depth bound; see [`explore`]).
     pub truncated: bool,
@@ -107,7 +102,15 @@ impl ExploreReport {
     /// with an earlier, different one is never explored. Over `S` distinct
     /// configurations that happens with probability about `S²/2⁶⁵`: about
     /// 2.7 × 10⁻¹¹ at 31 495 states, 1.1 × 10⁻⁷ at 2 M and 1.1 × 10⁻⁵ at
-    /// 20 M.
+    /// 20 M. The set of inert local states (see [`explore`]) assumes as
+    /// much of its 64-bit keys: a local state whose key collides with an
+    /// inert one's has its `None` step skipped untaken, and the child it
+    /// would reach goes unexplored. With `I` inert keys, looked up once per
+    /// fresh child, that happens with probability about `S·I/2⁶⁴`, below
+    /// the dedup set's while `I < S/2`; the n = 4, L = 3
+    /// [`Branching::NoneOrAll`] verdict keeps 809 keys for its 28 468
+    /// states. Debug builds take every skipped step and assert that
+    /// it changes nothing.
     pub fn verified(&self) -> bool {
         self.violation.is_none() && !self.truncated
     }
@@ -134,48 +137,51 @@ pub struct ViolationPath {
 /// count, so configurations that differ only in when it will crash are
 /// not merged.
 ///
-/// The search holds one configuration, the one at the end of the schedule
-/// it is exploring, and clones nothing but `sim`. To expand a
-/// configuration, it applies each move to the configuration itself,
-/// hashes the result, and reverts the step. A child whose fingerprint is
-/// new is checked on the stepped configuration and recorded as its
-/// [`Choice`] and fingerprint components. When the expansion is done, the
-/// search takes the recorded children last-first: it steps each one
-/// again, expands it, and undoes the step on the way back. So no child
-/// costs a clone: a duplicate costs a step and an undo, a fresh child two
-/// of each.
+/// The search is depth-first and holds one configuration, the one at the
+/// end of the schedule it is exploring; it clones nothing but `sim`. Each
+/// depth of that schedule keeps a frame: the fingerprint components of its
+/// configuration, its no-op marks, a cursor into its delivery menu and an
+/// undo log. The search applies the next move of the deepest frame to the
+/// configuration itself and hashes the result. A child whose fingerprint
+/// is new is checked on the stepped configuration and explored at once,
+/// from a frame one deeper; when that frame's menu is done, the search
+/// undoes the step into it and moves on in the frame above. A duplicate is
+/// undone at once. So every child costs one step and one undo, and nothing
+/// waits to be taken later.
 ///
-/// No child costs an allocation either. Each depth keeps one undo log,
-/// which refreshes its copy of the stepping process's state in place with
+/// No child costs an allocation either. Each frame's undo log refreshes
+/// its copy of the stepping process's state in place with
 /// [`Clone::clone_from`] and swaps it back on undo, and lends every step
 /// the same delivery and send buffers. The delivery menu is iterated, not
 /// collected, and the dedup set takes each fingerprint as its own hash. So
-/// once the logs are warm, the search allocates only as its dedup set, its
-/// path and its per-depth records grow: 151 allocations for the 13 800
+/// once the frames are warm, the search allocates only as its hash sets,
+/// its path and its frames grow: 120 allocations for the 13 800
 /// children of two-stage n = 3, L = 2, [`Branching::PerSource`]. A
 /// [`Process`] whose state owns heap buffers keeps this only if it
 /// implements `clone_from` to reuse them (see [`Process`]).
 ///
-/// Taking a recorded child again relies on a step being a function of the
-/// configuration and the choice, so that the step lands on the
-/// configuration `check` saw; debug builds assert that it does. The undo
-/// relies on it too. A process or oracle whose step reads a clock, or
-/// iterates a hash map whose order a clone does not keep, would break it;
-/// none in the workspace does.
+/// The undo relies on a step being a function of the configuration and the
+/// choice. A process or oracle whose step reads a clock, or iterates a
+/// hash map whose order a clone does not keep, would break it; none in the
+/// workspace does. Debug builds assert that every undo restores the parent.
 ///
 /// Some duplicates are not even stepped. When a process's `None` step sends
 /// nothing and leaves its fingerprint component unchanged, the explorer
 /// marks the process, and the configurations below skip its `None` step
-/// until it steps again. Such a step reads only the process's own state
-/// and its detector sample, and other processes' steps only append to its
-/// buffer, which a `None` step never reads. So the skipped child would be
-/// the configuration itself, already seen. A skip counts as a child and a
-/// dedup hit, and in [`ExploreReport::noop_skips`]. A process with a
-/// pending planned crash is never marked: its `None` step advances the
-/// local step count in its fingerprint component. The explorer skips only
-/// when the oracle and its sample are zero-sized (as for
-/// [`NoOracle`](crate::oracle::NoOracle)): then every sample is the same
-/// value, and sampling changes nothing.
+/// until it steps again. Such a step reads only the process's own state,
+/// its decision and its detector sample, and other processes' steps only
+/// append to its buffer, which a `None` step never reads. So the skipped
+/// child would be the configuration itself, already seen. The explorer
+/// also keeps such local parts, as a set of inert local states: when a
+/// process steps into a local state the set holds, the child keeps the
+/// process's mark instead of probing its `None` step again. A skip counts
+/// as a child and a dedup hit, and in [`ExploreReport::noop_skips`]. A
+/// process with a pending planned crash is never marked, nor its state
+/// kept: its `None` step advances the local step count in its fingerprint
+/// component. The explorer skips only when the oracle and its sample are
+/// zero-sized (as for [`NoOracle`](crate::oracle::NoOracle)): then every
+/// sample is the same value, and sampling changes nothing. Debug builds
+/// take every skipped step anyway and assert that it changes nothing.
 ///
 /// The configurations handed to `check` descend from one fork of `sim`
 /// that records no trace: their [`Simulation::trace`] is empty. A
@@ -204,6 +210,10 @@ where
     // the set takes it as its own hash instead of hashing it again; no key
     // comes from outside the program.
     let mut seen: HashSet<u64, BuildHasherDefault<Prehashed>> = HashSet::default();
+    // The inert local states: the local-part hash (see
+    // `Simulation::fingerprint_component`) of every state whose `None` step
+    // was found to change nothing. Kept as `seen` is.
+    let mut inert: HashSet<u64, BuildHasherDefault<Prehashed>> = HashSet::default();
     let mut report = ExploreReport {
         states_expanded: 0,
         terminals: 0,
@@ -211,18 +221,19 @@ where
         dedup_hits: 0,
         noop_skips: 0,
         max_depth: 0,
-        peak_stack: 1,
         truncated: false,
         violation: None,
     };
     let mut current = sim.clone();
     current.stop_tracing();
     let n = current.n();
-    // The fingerprint components of `current`.
-    let mut components: Vec<u64> = ProcessId::all(n)
-        .map(|p| current.process_fingerprint(p))
-        .collect();
-    seen.insert(combine_fingerprints(components.iter().copied()));
+    // `frames[d]` explores the configuration at depth d of `path`. A frame
+    // past the current depth is kept for reuse.
+    let mut frames: Vec<Frame<P, O>> = vec![Frame::new()];
+    frames[0]
+        .components
+        .extend(ProcessId::all(n).map(|p| current.process_fingerprint(p)));
+    seen.insert(combine_fingerprints(frames[0].components.iter().copied()));
     if let Err(reason) = check(&current) {
         report.violation = Some(ViolationPath {
             reason,
@@ -234,147 +245,20 @@ where
     let skip_noops = size_of::<O>() == 0 && size_of::<P::Fd>() == 0;
     // The schedule reaching `current`; its length is `current`'s depth.
     let mut path: Vec<Choice> = Vec::new();
-    // `levels[d]` records the fresh children of the configuration at depth
-    // d of `path`. A level past the current depth is empty, kept for reuse.
-    let mut levels: Vec<Level<P, O>> = Vec::new();
-    // The processes whose `None` step is known to leave `current` unchanged.
-    let mut noops = ProcessSet::new();
-    // Fresh children recorded and not yet taken, over every level.
-    let mut waiting = 0usize;
-    let mut next: Vec<u64> = Vec::new();
+    if !frames[0].enter(&current, 0, config, &mut report) {
+        return report;
+    }
     loop {
-        if report.states_expanded >= config.max_states {
-            report.truncated = true;
-            return report;
-        }
-        report.states_expanded += 1;
         let depth = path.len();
-        if levels.len() == depth {
-            levels.push(Level::new());
+        if frames.len() == depth + 1 {
+            frames.push(Frame::new());
         }
-        let level = &mut levels[depth];
-        debug_assert!(
-            level.choices.is_empty(),
-            "a level is left only once its children are all taken"
-        );
-        if current.all_correct_decided() {
-            report.terminals += 1;
-        } else if depth >= config.max_depth {
-            report.truncated = true;
-        } else {
-            let mut any_move = false;
-            for pid in ProcessId::all(n) {
-                if !current.is_alive(pid) {
-                    continue;
-                }
-                for delivery in delivery_menu(current.buffer(pid), config.branching) {
-                    let no_delivery = matches!(delivery, Delivery::None);
-                    if no_delivery && noops.contains(pid) {
-                        any_move = true;
-                        report.children += 1;
-                        report.dedup_hits += 1;
-                        report.noop_skips += 1;
-                        #[cfg(debug_assertions)]
-                        {
-                            let log = &mut level.log;
-                            // kset-lint: allow(observer-bypass): takes the skipped step anyway, under debug assertions only, to check that it changes nothing; reverted at once
-                            let stepped = current.step_undoable(pid, Delivery::None, log);
-                            assert!(stepped.is_ok() && log.destinations().is_empty());
-                            assert_eq!(
-                                current.config_fingerprint(),
-                                combine_fingerprints(components.iter().copied()),
-                                "a skipped None step of {pid} changes the configuration"
-                            );
-                            current.undo(log);
-                        }
-                        continue;
-                    }
-                    // kset-lint: allow(observer-bypass): the DFS explorer steps each expanded configuration in place once per menu entry and reverts it; observer event streams are a per-run concept and would only alias across branches here
-                    let stepped = current.step_undoable(pid, delivery.clone(), &mut level.log);
-                    if stepped.is_err() {
-                        continue;
-                    }
-                    any_move = true;
-                    report.children += 1;
-                    // A step changes the stepping process's component and can
-                    // only append to other buffers: rehash just those.
-                    next.clone_from(&components);
-                    let mut touched: ProcessSet =
-                        level.log.destinations().iter().copied().collect();
-                    touched.insert(pid);
-                    for q in touched {
-                        next[q.index()] = current.process_fingerprint(q);
-                    }
-                    let fingerprint = combine_fingerprints(next.iter().copied());
-                    debug_assert_eq!(fingerprint, current.config_fingerprint());
-                    if skip_noops
-                        && no_delivery
-                        && level.log.destinations().is_empty()
-                        && next[pid.index()] == components[pid.index()]
-                    {
-                        noops.insert(pid);
-                    }
-                    if seen.insert(fingerprint) {
-                        let choice = Choice { pid, delivery };
-                        if let Err(reason) = check(&current) {
-                            let mut vpath = path.clone();
-                            vpath.push(choice);
-                            report.violation = Some(ViolationPath {
-                                reason,
-                                path: vpath,
-                            });
-                            return report;
-                        }
-                        level.choices.push(choice);
-                        level.components.extend_from_slice(&next);
-                        waiting += 1;
-                        report.max_depth = report.max_depth.max(depth + 1);
-                        report.peak_stack = report.peak_stack.max(waiting);
-                    } else {
-                        report.dedup_hits += 1; // already explored an equivalent configuration
-                    }
-                    current.undo(&mut level.log);
-                    debug_assert_eq!(
-                        current.config_fingerprint(),
-                        combine_fingerprints(components.iter().copied()),
-                        "an undo restores the parent"
-                    );
-                }
-            }
-            if !any_move {
+        let (above, below) = frames.split_at_mut(depth + 1);
+        let frame = &mut above[depth];
+        let Some((pid, delivery)) = frame.next_move(&current, config.branching) else {
+            // The frame's menu is done: back to the frame above.
+            if !frame.moved {
                 report.terminals += 1;
-            }
-            // The marks found by the whole expansion, which every child
-            // inherits but for its own stepping process's.
-            level.noops = noops;
-        }
-
-        // Take the next child: the last one recorded at the deepest level
-        // that still has one, undoing the steps into the levels left behind.
-        loop {
-            let depth = path.len();
-            let level = &mut levels[depth];
-            if let Some(choice) = level.choices.pop() {
-                waiting -= 1;
-                let start = level.components.len() - n;
-                components.copy_from_slice(&level.components[start..]);
-                level.components.truncate(start);
-                // A child is its parent plus one step of its process, which
-                // can only append to the other processes' buffers. So it
-                // keeps every mark but its own process's.
-                noops = level.noops;
-                noops.remove(choice.pid);
-                let delivery = choice.delivery.clone();
-                // kset-lint: allow(observer-bypass): the DFS explorer steps again into a fresh child it recorded, to expand it in place, and undoes the step once the child's subtree is done; as for the probing steps, a per-run event stream would only alias across branches
-                let stepped = current.step_undoable(choice.pid, delivery, &mut level.log);
-                debug_assert!(stepped.is_ok(), "a recorded child steps again");
-                debug_assert_eq!(
-                    current.config_fingerprint(),
-                    combine_fingerprints(components.iter().copied()),
-                    "stepping again lands on the child `check` saw"
-                );
-                path.push(choice);
-                break;
             }
             if depth == 0 {
                 debug_assert_eq!(
@@ -385,33 +269,192 @@ where
                 return report;
             }
             path.pop();
-            current.undo(&mut levels[depth - 1].log);
+            let parent = &mut above[depth - 1];
+            current.undo(&mut parent.log);
+            debug_assert_eq!(
+                current.config_fingerprint(),
+                combine_fingerprints(parent.components.iter().copied()),
+                "an undo restores the parent"
+            );
+            continue;
+        };
+        let no_delivery = matches!(delivery, Delivery::None);
+        if no_delivery && frame.noops.contains(pid) {
+            frame.moved = true;
+            report.children += 1;
+            report.dedup_hits += 1;
+            report.noop_skips += 1;
+            #[cfg(debug_assertions)]
+            {
+                let log = &mut frame.log;
+                // kset-lint: allow(observer-bypass): takes the skipped step anyway, under debug assertions only, to check that it changes nothing; reverted at once
+                let stepped = current.step_undoable(pid, Delivery::None, log);
+                assert!(stepped.is_ok() && log.destinations().is_empty());
+                assert_eq!(
+                    current.config_fingerprint(),
+                    combine_fingerprints(frame.components.iter().copied()),
+                    "a skipped None step of {pid} changes the configuration"
+                );
+                current.undo(log);
+            }
+            continue;
+        }
+        // kset-lint: allow(observer-bypass): the DFS explorer steps the configuration in place once per menu entry and undoes the step after the child or its subtree; observer event streams are a per-run concept and would only alias across branches here
+        let stepped = current.step_undoable(pid, delivery.clone(), &mut frame.log);
+        if stepped.is_err() {
+            continue;
+        }
+        frame.moved = true;
+        report.children += 1;
+        // A step changes the stepping process's component and can only
+        // append to other buffers: rehash just those.
+        let child = &mut below[0];
+        child.components.clone_from(&frame.components);
+        let (component, local) = current.fingerprint_component(pid);
+        child.components[pid.index()] = component;
+        let mut touched: ProcessSet = frame.log.destinations().iter().copied().collect();
+        touched.remove(pid);
+        for q in touched {
+            child.components[q.index()] = current.process_fingerprint(q);
+        }
+        let fingerprint = combine_fingerprints(child.components.iter().copied());
+        debug_assert_eq!(fingerprint, current.config_fingerprint());
+        if skip_noops
+            && no_delivery
+            && frame.log.destinations().is_empty()
+            && component == frame.components[pid.index()]
+        {
+            frame.noops.insert(pid);
+            if current.crash_plan().crash_for(pid).is_none() {
+                inert.insert(local);
+            }
+        }
+        if !seen.insert(fingerprint) {
+            report.dedup_hits += 1; // already explored an equivalent configuration
+            current.undo(&mut frame.log);
+            debug_assert_eq!(
+                current.config_fingerprint(),
+                combine_fingerprints(frame.components.iter().copied()),
+                "an undo restores the parent"
+            );
+            continue;
+        }
+        let choice = Choice { pid, delivery };
+        if let Err(reason) = check(&current) {
+            let mut vpath = path.clone();
+            vpath.push(choice);
+            report.violation = Some(ViolationPath {
+                reason,
+                path: vpath,
+            });
+            return report;
+        }
+        // Descend into the child. It is its parent plus one step of `pid`,
+        // which can only append to the other processes' buffers, so it keeps
+        // every mark but `pid`'s; and `pid`'s too if its new local state is
+        // known to be inert.
+        child.noops = frame.noops;
+        child.noops.remove(pid);
+        if skip_noops && inert.contains(&local) {
+            child.noops.insert(pid);
+        }
+        path.push(choice);
+        report.max_depth = report.max_depth.max(depth + 1);
+        if !child.enter(&current, depth + 1, config, &mut report) {
+            return report;
         }
     }
 }
 
-/// The fresh children of one configuration on the explorer's path, reused
-/// at its depth across expansions: each child's choice and fingerprint
-/// components, the configuration's no-op marks, and the undo log of the
-/// step into the child being explored below (during the expansion itself,
-/// of each probed step).
-struct Level<P: Process, O> {
-    choices: Vec<Choice>,
-    /// `n` components per child, in the order of `choices`.
+/// The explorer's state at one depth of its path: the configuration there,
+/// by its fingerprint components and no-op marks, how far the walk of its
+/// delivery menus has come, and the undo log of its latest step (a probed
+/// child, or the child being explored one frame deeper).
+struct Frame<P: Process, O> {
     components: Vec<u64>,
     /// The processes whose `None` step is known to leave the configuration
     /// unchanged.
     noops: ProcessSet,
+    /// The process whose menu `menu` walks.
+    pid: ProcessId,
+    /// The rest of `pid`'s delivery menu.
+    menu: Menu,
+    /// The index of the next process whose menu the walk opens.
+    next_pid: usize,
+    /// Whether the walk has stepped, or has nothing to walk: a walk that
+    /// ends with neither has found a terminal configuration.
+    moved: bool,
     log: UndoLog<P, O>,
 }
 
-impl<P: Process, O> Level<P, O> {
+impl<P, O> Frame<P, O>
+where
+    P: Process,
+    P::Fd: std::hash::Hash,
+    O: Oracle<Sample = P::Fd> + Clone,
+{
     fn new() -> Self {
-        Level {
-            choices: Vec::new(),
+        Frame {
             components: Vec::new(),
             noops: ProcessSet::new(),
+            pid: ProcessId::new(0),
+            menu: Menu::empty(),
+            next_pid: 0,
+            moved: false,
             log: UndoLog::new(),
+        }
+    }
+
+    /// Counts `current`, the frame's configuration at `depth`, as expanded,
+    /// and sets the walk of its menus going, unless it is terminal or at the
+    /// depth bound. Returns `false` when the state budget is spent. The
+    /// frame's last walk, if any, has ended, so no menu is left open.
+    fn enter(
+        &mut self,
+        current: &Simulation<P, O>,
+        depth: usize,
+        config: &ExploreConfig,
+        report: &mut ExploreReport,
+    ) -> bool {
+        if report.states_expanded >= config.max_states {
+            report.truncated = true;
+            return false;
+        }
+        report.states_expanded += 1;
+        let walk = if current.all_correct_decided() {
+            report.terminals += 1;
+            false
+        } else if depth >= config.max_depth {
+            report.truncated = true;
+            false
+        } else {
+            true
+        };
+        self.next_pid = if walk { 0 } else { current.n() };
+        self.moved = !walk;
+        true
+    }
+
+    /// The next move of the walk: the next entry of the open menu, else the
+    /// first entry of the next alive process's menu, opened on `current`,
+    /// the frame's configuration. `None` once every menu is done.
+    fn next_move(
+        &mut self,
+        current: &Simulation<P, O>,
+        branching: Branching,
+    ) -> Option<(ProcessId, Delivery)> {
+        loop {
+            if let Some(delivery) = self.menu.next() {
+                return Some((self.pid, delivery));
+            }
+            if self.next_pid >= current.n() {
+                return None;
+            }
+            self.pid = ProcessId::new(self.next_pid);
+            self.next_pid += 1;
+            if current.is_alive(self.pid) {
+                self.menu = delivery_menu(current.buffer(self.pid), branching);
+            }
         }
     }
 }
@@ -444,18 +487,52 @@ where
 /// `buffer`: `None` first, then `All`, or each non-empty subset of the
 /// pending sources. The menu owns what it needs of `buffer`, so the caller
 /// can step the configuration while it iterates.
-fn delivery_menu<M>(buffer: &Buffer<M>, branching: Branching) -> impl Iterator<Item = Delivery> {
+fn delivery_menu<M>(buffer: &Buffer<M>, branching: Branching) -> Menu {
     // Enumerate the subsets directly on the bitset: the classic
     // sub = (sub - 1) & mask walk, width-generic via `WideSet::subsets` so
     // it holds past 128 processes. An empty buffer has no subsets.
     let (all, sources) = match branching {
-        _ if buffer.is_empty() => (None, ProcessSet::new()),
-        Branching::NoneOrAll => (Some(Delivery::All), ProcessSet::new()),
-        Branching::PerSource => (None, buffer.sources()),
+        _ if buffer.is_empty() => (false, ProcessSet::new()),
+        Branching::NoneOrAll => (true, ProcessSet::new()),
+        Branching::PerSource => (false, buffer.sources()),
     };
-    std::iter::once(Delivery::None)
-        .chain(all)
-        .chain(sources.subsets().map(Delivery::AllFrom))
+    Menu {
+        none: true,
+        all,
+        subsets: sources.subsets(),
+    }
+}
+
+/// What is left of one process's delivery menu (see [`delivery_menu`]).
+struct Menu {
+    none: bool,
+    all: bool,
+    subsets: SubsetIter<PSET_LIMBS>,
+}
+
+impl Menu {
+    /// A menu with nothing left.
+    fn empty() -> Self {
+        Menu {
+            none: false,
+            all: false,
+            subsets: ProcessSet::new().subsets(),
+        }
+    }
+}
+
+impl Iterator for Menu {
+    type Item = Delivery;
+
+    fn next(&mut self) -> Option<Delivery> {
+        if std::mem::take(&mut self.none) {
+            Some(Delivery::None)
+        } else if std::mem::take(&mut self.all) {
+            Some(Delivery::All)
+        } else {
+            self.subsets.next().map(Delivery::AllFrom)
+        }
+    }
 }
 
 /// The hasher of the dedup set: a key, a configuration fingerprint whose

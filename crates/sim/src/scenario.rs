@@ -713,9 +713,8 @@ impl std::error::Error for ScenarioParseError {}
 
 use crate::textfmt::{parse_csv_with, render_csv};
 
-/// Parses a comma-separated list rendered by
-/// [`render_csv`](crate::textfmt::render_csv), mapping a malformed
-/// element to the typed field error.
+/// Parses a comma-separated list rendered by [`render_csv`], mapping a
+/// malformed element to the typed field error.
 fn parse_csv<T>(
     field: &'static str,
     token: &str,

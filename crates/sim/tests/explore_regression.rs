@@ -57,14 +57,13 @@ impl Process for MinBarrier {
 }
 
 /// The report's deterministic counts beside the state graph:
-/// `(children, dedup_hits, noop_skips, max_depth, peak_stack)`.
-fn counters(report: &ExploreReport) -> (usize, usize, usize, usize, usize) {
+/// `(children, dedup_hits, noop_skips, max_depth)`.
+fn counters(report: &ExploreReport) -> (usize, usize, usize, usize) {
     (
         report.children,
         report.dedup_hits,
         report.noop_skips,
         report.max_depth,
-        report.peak_stack,
     )
 }
 
@@ -123,11 +122,7 @@ fn dedup_counts_are_pinned() {
         (7, 1),
         "n=2 NoneOrAll dedup structure"
     );
-    assert_eq!(
-        counters(&report),
-        (18, 12, 3, 3, 3),
-        "n=2 NoneOrAll counters"
-    );
+    assert_eq!(counters(&report), (18, 12, 3, 4), "n=2 NoneOrAll counters");
     assert_fresh_children_expanded(&report);
 
     let report3 = explore(&sim(3), &config, |_| Ok(()));
@@ -139,7 +134,7 @@ fn dedup_counts_are_pinned() {
     );
     assert_eq!(
         counters(&report3),
-        (264, 211, 86, 6, 10),
+        (264, 211, 112, 8),
         "n=3 NoneOrAll counters"
     );
     assert_fresh_children_expanded(&report3);

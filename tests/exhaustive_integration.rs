@@ -45,14 +45,13 @@ fn assert_fresh_children_expanded(report: &ExploreReport) {
 }
 
 /// The report's deterministic counters beside the state graph:
-/// `(children, dedup_hits, noop_skips, max_depth, peak_stack)`.
-fn counters(report: &ExploreReport) -> (usize, usize, usize, usize, usize) {
+/// `(children, dedup_hits, noop_skips, max_depth)`.
+fn counters(report: &ExploreReport) -> (usize, usize, usize, usize) {
     (
         report.children,
         report.dedup_hits,
         report.noop_skips,
         report.max_depth,
-        report.peak_stack,
     )
 }
 
@@ -78,7 +77,7 @@ fn two_stage_consensus_exhaustive_n3() {
     assert!(report.violation.is_none(), "{:?}", report.violation);
     assert!(!report.truncated, "every schedule fits the bound");
     assert_eq!((report.states_expanded, report.terminals), (246, 43));
-    assert_eq!(counters(&report), (968, 723, 380, 9, 12));
+    assert_eq!(counters(&report), (968, 723, 442, 10));
     assert_fresh_children_expanded(&report);
 }
 
@@ -116,7 +115,7 @@ fn two_stage_with_initial_crash_exhaustive() {
             (9, 1),
             "dead={dead}"
         );
-        assert_eq!(counters(&report), (24, 16, 5, 4, 3), "dead={dead}");
+        assert_eq!(counters(&report), (24, 16, 4, 5), "dead={dead}");
         assert_fresh_children_expanded(&report);
     }
 }
@@ -147,7 +146,7 @@ fn two_stage_per_source_branching_exhaustive() {
         report.violation
     );
     assert_eq!((report.states_expanded, report.terminals), (2263, 153));
-    assert_eq!(counters(&report), (13800, 11538, 4194, 11, 31));
+    assert_eq!(counters(&report), (13800, 11538, 5991, 12));
     assert_fresh_children_expanded(&report);
 }
 
@@ -182,7 +181,7 @@ fn two_stage_n4_one_dead_per_source_exhaustive() {
         report.violation
     );
     assert_eq!((report.states_expanded, report.terminals), (764, 8));
-    assert_eq!(counters(&report), (4866, 4103, 1492, 13, 31));
+    assert_eq!(counters(&report), (4866, 4103, 2154, 13));
     assert_fresh_children_expanded(&report);
 }
 
@@ -234,8 +233,8 @@ fn explorer_rediscovers_theorem10_violation() {
         .expect("Theorem 10's violation must be reachable");
     // The DFS order is part of the explorer's contract: the same violation
     // after the same number of expansions, down the same schedule.
-    assert_eq!(report.states_expanded, 7);
-    assert_eq!(counters(&report), (23, 8, 0, 4, 11));
+    assert_eq!(report.states_expanded, 6);
+    assert_eq!(counters(&report), (16, 10, 0, 5));
     let path: Vec<(usize, Delivery)> = v
         .path
         .iter()
@@ -244,10 +243,12 @@ fn explorer_rediscovers_theorem10_violation() {
     assert_eq!(
         path,
         [
-            (3, Delivery::None),
-            (2, Delivery::All),
+            (0, Delivery::None),
             (1, Delivery::None),
-            (0, Delivery::None)
+            (0, Delivery::All),
+            (1, Delivery::All),
+            (2, Delivery::All),
+            (3, Delivery::None)
         ]
     );
     // Replay the discovered schedule and confirm.
@@ -375,23 +376,23 @@ fn in_place_exploration_equals_forking_every_child() {
     let none_or_all = assert_fork_equivalent(&n3, &config(14, Branching::NoneOrAll));
     assert_eq!(
         (none_or_all.states_expanded, none_or_all.noop_skips),
-        (246, 380)
+        (246, 442)
     );
     let per_source = assert_fork_equivalent(&n3, &config(64, Branching::PerSource));
     assert_eq!(
         (per_source.states_expanded, per_source.noop_skips),
-        (2263, 4194)
+        (2263, 5991)
     );
     let dead = two_stage(3, 2, CrashPlan::initially_dead([pid(1)]));
     let one_dead = assert_fork_equivalent(&dead, &config(12, Branching::PerSource));
     assert_eq!((one_dead.states_expanded, one_dead.terminals), (9, 1));
-    assert_eq!(one_dead.noop_skips, 5);
+    assert_eq!(one_dead.noop_skips, 4);
     // p1 crashes in its first step, and only p2 gets that step's sends.
     let keep = Omission::KeepOnlyTo([pid(1)].into());
     let crashing = two_stage(3, 2, CrashPlan::none().with_crash_after(pid(0), 1, keep));
     let crash = assert_fork_equivalent(&crashing, &config(64, Branching::PerSource));
     assert_eq!((crash.states_expanded, crash.terminals), (144, 19));
-    assert_eq!(counters(&crash), (458, 315, 139, 7, 16));
+    assert_eq!(counters(&crash), (458, 315, 208, 7));
     // p1 crashes in its third step and sends nothing in it. A `None` step
     // that looked like a no-op must not be skipped past the crash, and
     // configurations that differ only in p1's step count stay apart.
@@ -405,7 +406,7 @@ fn in_place_exploration_equals_forking_every_child() {
         (late_crash.states_expanded, late_crash.terminals),
         (621, 128)
     );
-    assert_eq!(counters(&late_crash), (1975, 1355, 776, 10, 16));
+    assert_eq!(counters(&late_crash), (1975, 1355, 832, 10));
     // A detector that reads global time: Ω′ switches to LD after time 4,
     // inside the explored depth, so an undo that left the clock wrong
     // would hand `check` other configurations and change these counts.
@@ -414,7 +415,7 @@ fn in_place_exploration_equals_forking_every_child() {
     let leader: Simulation<LeaderAdopt, _> =
         Simulation::with_oracle(distinct_proposals(4), oracle, CrashPlan::none());
     let adopt = assert_fork_equivalent(&leader, &config(10, Branching::NoneOrAll));
-    assert_eq!((adopt.states_expanded, adopt.terminals), (244, 102));
+    assert_eq!((adopt.states_expanded, adopt.terminals), (327, 161));
     assert_eq!(
         adopt.noop_skips, 0,
         "a detector with state is never skipped"
@@ -441,14 +442,14 @@ fn in_place_exploration_equals_forking_every_child_n4() {
 
 /// The fields a configuration fingerprint documents, read through the
 /// public API, process by process: the index, the local state, liveness,
-/// whether the process decided, and its buffer's `(src, payload)` pairs in
-/// FIFO order. The local step count that a pending planned crash adds to a
-/// component is not public, so it is missing here.
+/// the decision, and the buffer's `(src, payload)` pairs in FIFO order.
+/// The local step count that a pending planned crash adds to a component
+/// is not public, so it is missing here.
 type Fields<'a, P> = Vec<(
     usize,
     &'a P,
     bool,
-    bool,
+    Option<&'a <P as Process>::Output>,
     Vec<(ProcessId, &'a <P as Process>::Msg)>,
 )>;
 
@@ -461,36 +462,137 @@ where
     ProcessId::all(s.n())
         .map(|p| {
             let buffer = s.buffer(p).iter().map(|e| (e.src, &e.payload)).collect();
-            let decided = s.decision(p).is_some();
-            (p.index(), s.state(p), s.is_alive(p), decided, buffer)
+            (p.index(), s.state(p), s.is_alive(p), s.decision(p), buffer)
         })
         .collect()
 }
 
-/// Explores `sim` with `check` and returns the report with the digest of
-/// every configuration handed to `check`, in order, root included: the
-/// `stable_fingerprint` of their documented fields, which does not depend
-/// on the fingerprint hasher. Also returns how many configurations `check`
-/// saw.
-fn search_order<P, O>(
+/// A vector of decisions, one per process.
+type Decisions<P> = Vec<Option<<P as Process>::Output>>;
+
+/// Breadth first from `sim`, without the explorer: each child is a
+/// `clone` + `step`, and a configuration's key is its
+/// `config_fingerprint()` together with its decisions, so configurations
+/// that decided different values stay apart whatever the fingerprint
+/// covers. Expands every configuration shallower than `max_depth` in which
+/// some correct process is undecided. Returns how many configurations it
+/// reached and their decision vectors.
+fn reference_decisions<P, O>(
     sim: &Simulation<P, O>,
-    config: &ExploreConfig,
-    mut check: impl FnMut(&Simulation<P, O>) -> Result<(), String>,
-) -> (ExploreReport, u64, usize)
+    branching: Branching,
+    max_depth: usize,
+) -> (usize, BTreeSet<Decisions<P>>)
 where
     P: Process,
     P::Input: Clone,
     P::Fd: std::hash::Hash,
     O: Oracle<Sample = P::Fd> + Clone,
 {
-    let mut order = StableHasher::new();
-    let mut checked = 0;
-    let report = explore(sim, config, |s| {
-        order.write_u64(stable_fingerprint(&documented_fields(s)));
+    let mut seen = HashSet::from([(sim.config_fingerprint(), sim.decisions().to_vec())]);
+    let mut vectors = BTreeSet::new();
+    let mut layer = vec![sim.clone()];
+    for depth in 0..=max_depth {
+        let mut next = Vec::new();
+        for s in layer {
+            vectors.insert(s.decisions().to_vec());
+            if s.all_correct_decided() || depth == max_depth {
+                continue;
+            }
+            for pid in ProcessId::all(s.n()).filter(|&p| s.is_alive(p)) {
+                for delivery in menu(&s, pid, branching) {
+                    let mut child = s.clone();
+                    if child.step(pid, delivery).is_ok()
+                        && seen.insert((child.config_fingerprint(), child.decisions().to_vec()))
+                    {
+                        next.push(child);
+                    }
+                }
+            }
+        }
+        layer = next;
+    }
+    (seen.len(), vectors)
+}
+
+#[test]
+fn explored_decision_vectors_match_a_reference_search() {
+    // `LeaderAdopt` keeps no decided value in its state, so only the
+    // fingerprint's decision component tells apart configurations that
+    // decided different values. When that component was a flag, such
+    // configurations merged: 257 configurations and 54 decision vectors
+    // reached `check`, and [0, 0, 0, 0] and [1, 1, 1, 1] were never seen.
+    let n = 4;
+    let blocks: Vec<ProcessSet> = vec![[pid(0), pid(1), pid(2)].into(), [pid(3)].into()];
+    let oracle = PartitionSigmaOmega::new(n, blocks, Time::new(1_000_000), [pid(0), pid(1)].into());
+    let sim: Simulation<LeaderAdopt, _> =
+        Simulation::with_oracle(distinct_proposals(n), oracle, CrashPlan::none());
+    let config = ExploreConfig {
+        max_depth: 10,
+        max_states: 300_000,
+        branching: Branching::NoneOrAll,
+    };
+    let mut checked = 0usize;
+    let mut vectors = BTreeSet::new();
+    let report = explore(&sim, &config, |s| {
         checked += 1;
+        vectors.insert(s.decisions().to_vec());
+        Ok(())
+    });
+    let (reached, expected) = reference_decisions(&sim, config.branching, config.max_depth);
+    assert_eq!(
+        (checked, vectors.len()),
+        (reached, expected.len()),
+        "{report:?}"
+    );
+    assert_eq!(vectors, expected);
+    assert_eq!((reached, expected.len()), (344, 56));
+}
+
+/// What [`search_order`] saw of an exploration.
+struct Searched {
+    report: ExploreReport,
+    /// The digest of every configuration handed to `check`, in order, root
+    /// included.
+    ordered: u64,
+    /// The digest of the same configurations, sorted: it pins the set that
+    /// `check` saw and not the order.
+    set: u64,
+    /// How many configurations `check` saw.
+    checked: usize,
+}
+
+/// Explores `sim` with `check` and digests every configuration handed to
+/// `check` by the `stable_fingerprint` of its documented fields, which does
+/// not depend on the fingerprint hasher.
+fn search_order<P, O>(
+    sim: &Simulation<P, O>,
+    config: &ExploreConfig,
+    mut check: impl FnMut(&Simulation<P, O>) -> Result<(), String>,
+) -> Searched
+where
+    P: Process,
+    P::Input: Clone,
+    P::Fd: std::hash::Hash,
+    O: Oracle<Sample = P::Fd> + Clone,
+{
+    let mut digests = Vec::new();
+    let report = explore(sim, config, |s| {
+        digests.push(stable_fingerprint(&documented_fields(s)));
         check(s)
     });
-    (report, order.finish(), checked)
+    let digest = |digests: &[u64]| {
+        let mut h = StableHasher::new();
+        digests.iter().for_each(|&d| h.write_u64(d));
+        h.finish()
+    };
+    let ordered = digest(&digests);
+    digests.sort_unstable();
+    Searched {
+        report,
+        ordered,
+        set: digest(&digests),
+        checked: digests.len(),
+    }
 }
 
 /// The check "at most `k` distinct decisions".
@@ -515,7 +617,9 @@ fn search_order_is_pinned() {
     // the order in which `check` sees the configurations. On a truncated run
     // the order also decides which configurations get expanded. The digests
     // read the configurations' public fields, not their fingerprints, so a
-    // new fingerprint hasher must leave them as they are.
+    // new fingerprint hasher must leave them as they are. The set digests
+    // of the three untruncated, violation-free runs hold whatever the
+    // order: a new search order must leave them as they are too.
     let config = |max_depth, max_states, branching| ExploreConfig {
         max_depth,
         max_states,
@@ -526,49 +630,59 @@ fn search_order_is_pinned() {
     };
 
     let n3 = two_stage(3, 2, CrashPlan::none());
-    let (report, digest, checked) =
-        search_order(&n3, &config(64, 400_000, Branching::PerSource), at_most(1));
-    assert!(report.verified(), "{report:?}");
-    assert_eq!(
-        (digest, checked, report.states_expanded),
-        (0xcfc8_ed3a_d4be_9634, 2263, 2263)
-    );
-    assert_eq!(counters(&report), (13800, 11538, 4194, 11, 31));
+    let s = search_order(&n3, &config(64, 400_000, Branching::PerSource), at_most(1));
+    assert!(s.report.verified(), "{:?}", s.report);
+    assert_eq!((s.set, s.checked), (0x2577_d8c3_c88a_8252, 2263));
+    assert_eq!(s.ordered, 0x57ea_6c52_2009_cd96);
+    assert_eq!(counters(&s.report), (13800, 11538, 5991, 12));
 
     let late = two_stage(
         3,
         2,
         CrashPlan::none().with_crash_after(pid(0), 3, Omission::All),
     );
-    let (report, digest, checked) = search_order(
+    let s = search_order(
         &late,
         &config(64, 100_000, Branching::NoneOrAll),
         |_| Ok(()),
     );
-    assert!(report.verified(), "{report:?}");
-    assert_eq!((digest, checked), (0xbb00_ce46_c093_d650, 621));
+    assert!(s.report.verified(), "{:?}", s.report);
+    assert_eq!((s.set, s.checked), (0x7b01_981f_6393_276a, 621));
+    assert_eq!(s.ordered, 0x5e29_8d62_d814_bd06);
 
     let n4 = two_stage(4, 3, CrashPlan::none());
-    let (report, digest, checked) =
-        search_order(&n4, &config(128, 5_000, Branching::PerSource), at_most(1));
-    assert!(report.truncated && report.violation.is_none(), "{report:?}");
-    assert_eq!(report.states_expanded, 5_000);
-    assert_eq!(digest, 0xdcee_3a52_753d_3b5f, "{checked} checked");
-    assert_eq!(counters(&report), (43423, 38334, 14543, 21, 140));
+    let s = search_order(&n4, &config(128, 5_000, Branching::PerSource), at_most(1));
+    assert!(
+        s.report.truncated && s.report.violation.is_none(),
+        "{:?}",
+        s.report
+    );
+    assert_eq!(s.report.states_expanded, 5_000);
+    assert_eq!(s.ordered, 0x2cd0_cac2_4823_252e, "{} checked", s.checked);
+    assert_eq!(counters(&s.report), (37497, 32497, 17480, 22));
 
     let blocks: Vec<ProcessSet> = vec![[pid(0), pid(1), pid(2)].into(), [pid(3)].into()];
     let oracle = PartitionSigmaOmega::new(4, blocks, Time::new(4), [pid(0), pid(1)].into());
     let leader: Simulation<LeaderAdopt, _> =
         Simulation::with_oracle(distinct_proposals(4), oracle, CrashPlan::none());
-    let (report, digest, _) = search_order(
+    let s = search_order(&leader, &config(10, 300_000, Branching::NoneOrAll), |_| {
+        Ok(())
+    });
+    assert!(s.report.verified(), "{:?}", s.report);
+    assert_eq!((s.set, s.checked), (0x8da1_6980_ea58_a547, 327));
+    let s = search_order(
         &leader,
         &config(10, 300_000, Branching::NoneOrAll),
         at_most(2),
     );
-    let violation = report.violation.as_ref().expect("a violation is reachable");
+    let violation = s
+        .report
+        .violation
+        .as_ref()
+        .expect("a violation is reachable");
     assert_eq!(
-        (digest, report.states_expanded, violation.path.len()),
-        (0x09bf_c975_c53c_0ab5, 7, 4)
+        (s.ordered, s.report.states_expanded, violation.path.len()),
+        (0x6043_2385_009a_ea93, 10, 4)
     );
 
     // The fingerprint values themselves, on the four roots. Unlike the
@@ -582,10 +696,10 @@ fn search_order_is_pinned() {
     assert_eq!(
         roots,
         [
-            0x3064_a0cc_0473_6027,
-            0xaf58_d0d3_40ee_cab5,
-            0x8678_81c9_65f6_467d,
-            0x5a6b_1bf6_68d2_3f4c
+            0xc245_3bb1_1705_b9a1,
+            0x8108_d20c_5a8c_48cc,
+            0xdb3d_a57d_b2ee_6840,
+            0x7ce2_99af_bb42_50d6
         ]
     );
 }

@@ -3,8 +3,8 @@
 //! Once its undo logs are warm, the explorer steps a configuration in
 //! place, hashes it and undoes the step without allocating: each log keeps
 //! its state slot and its delivery and send buffers from step to step. So
-//! a whole verdict makes a few hundred allocations, for its dedup set, its
-//! levels and its path, however many children it steps. A step that
+//! a whole verdict makes a few hundred allocations, for its hash sets, its
+//! frames and its path, however many children it steps. A step that
 //! allocated again would cost at least one allocation per child.
 //!
 //! The counting allocator counts only the allocations of the thread that

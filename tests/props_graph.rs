@@ -3,13 +3,13 @@
 
 use proptest::prelude::*;
 
-use kset::core::algorithms::two_stage::chosen_source_min;
+use kset::core::algorithms::two_stage::{chosen_source_min, chosen_source_min_one_limb};
 use kset::graph::{
     check_lemma6, check_lemma7, check_source_count_bound, chosen_source_component, gnp_digraph,
     initial_cliques, max_source_components, source_components, source_components_reaching,
     stage_one_graph, tarjan_scc, weakly_connected_components, Digraph,
 };
-use kset::sim::{ProcessId, ProcessSet};
+use kset::sim::{ProcessId, ProcessSet, WideSet};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -185,17 +185,23 @@ fn lemma6_exhaustive_on_tiny_graphs() {
 /// Asserts that two-stage's bitset decision rule agrees with the graph rule
 /// it replaced, for each process `me` in `mes`: over `me`'s closure `K`
 /// (every vertex with a path to `me`), the rule's member must be the
-/// minimum of `chosen_source_component(g, me)`.
+/// minimum of `chosen_source_component(g, me)`. On a graph that fits one
+/// 64-bit limb, the one-limb instantiation must give the same member.
 fn assert_rules_agree(g: &Digraph, mes: impl IntoIterator<Item = usize>, label: &str) {
     // heard(p) = the in-neighbours of p: an edge u → p means p heard u.
     let heard: Vec<ProcessSet> = (0..g.n())
         .map(|p| g.predecessors(p).map(ProcessId::new).collect())
         .collect();
+    let one_limb = |s: ProcessSet| WideSet::<1>::from_limbs([s.limbs()[0]]);
     for me in mes {
         let k: ProcessSet = g.reaching(me).into_iter().map(ProcessId::new).collect();
         let bitset = chosen_source_min(k, |p| heard[p.index()]);
         let graph = chosen_source_component(g, me).into_iter().min();
         assert_eq!(bitset.map(ProcessId::index), graph, "{label}, me = {me}");
+        if g.n() <= WideSet::<1>::CAPACITY {
+            let narrow = chosen_source_min_one_limb(one_limb(k), |p| one_limb(heard[p.index()]));
+            assert_eq!(narrow, bitset, "{label}, me = {me}, one limb");
+        }
     }
 }
 
@@ -210,16 +216,19 @@ fn two_stage_rule_matches_the_graph_rule() {
             }
         }
     }
-    // Stage-one graphs past one and two 64-bit limbs and at the full
-    // 512-process capacity, with the sample of `me`s spread over the limbs.
+    // Stage-one graphs that just fit one 64-bit limb, past one and two
+    // limbs and at the full 512-process capacity, with the sample of `me`s
+    // spread over the limbs.
     for (n, deltas) in [
+        (63, [1, 2, 16, 32]),
+        (64, [1, 2, 16, 32]),
         (65, [1, 2, 16, 32]),
         (130, [1, 2, 8, 64]),
         (512, [1, 2, 3, 8]),
     ] {
         for delta in deltas {
             let g = stage_one_graph(n, delta, (n + delta) as u64);
-            let mes = [0, 63, 64, n / 2, n - 1];
+            let mes = [0, 63, 64, n / 2, n - 1].map(|me| me.min(n - 1));
             assert_rules_agree(&g, mes, &format!("stage-one n={n} δ={delta}"));
         }
     }
